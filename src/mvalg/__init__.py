@@ -48,7 +48,6 @@ from .pierce import (
     chi,
     chinese_boolean,
     decompose,
-    decompose_subalgebra,
     gelfand_transform,
     holder_embed,
     is_boolean_via_primes,

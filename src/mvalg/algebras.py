@@ -233,10 +233,6 @@ class Hom:
             range(self.source.num_components)
         )
 
-    def graph(self) -> tuple[tuple[Element, Element], ...]:
-        """The hom as a function table over the source carrier."""
-        return tuple((x, self(x)) for x in self.source.elements())
-
     def __repr__(self) -> str:
         return f"Hom({list(self.source.orders)}->{list(self.target.orders)}, {list(self.component_map)})"
 

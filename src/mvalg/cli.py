@@ -3,7 +3,8 @@
 Every command reads JSON wire formats (see formats) and writes a JSON report
 to stdout; ``--format text`` switches to a terse human summary with no
 stability guarantee.  Exit codes: 0 success, 1 a verification suite found a
-violation, 2 malformed input.
+violation (an exception raised inside a suite counts as one), 2 malformed
+input.
 """
 
 from __future__ import annotations

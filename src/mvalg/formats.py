@@ -37,10 +37,15 @@ class FormatError(ValueError):
     """Malformed wire-format input."""
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_fraction(text) -> Fraction:
     if isinstance(text, Fraction):
         f = text
-    elif isinstance(text, (str, int)):
+    elif isinstance(text, str) or _is_int(text):
         try:
             f = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -86,7 +91,7 @@ def _parse_rational(obj) -> RationalAlgebra:
         raise FormatError(f'expected {{"kind": ...}}, got {obj!r}')
     if obj["kind"] == "chain":
         n = obj.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise FormatError(f"bad chain order {n!r}")
         return RationalAlgebra.chain(n)
     if obj["kind"] == "supernatural":
@@ -101,7 +106,7 @@ def _parse_rational(obj) -> RationalAlgebra:
                 raise FormatError(f"bad prime {p!r}") from None
             if e == "inf":
                 caps[prime] = INF
-            elif isinstance(e, int) and e >= 0:
+            elif _is_int(e) and e >= 0:
                 caps[prime] = e
             else:
                 raise FormatError(f"bad exponent {e!r} for prime {p}")
@@ -119,7 +124,7 @@ def parse_algebra(obj):
         raise FormatError(f"expected a one-key algebra object, got {obj!r}")
     (key, value), = obj.items()
     if key == "finite":
-        if not isinstance(value, list) or not all(isinstance(m, int) for m in value):
+        if not isinstance(value, list) or not all(_is_int(m) for m in value):
             raise FormatError(f"bad chain orders {value!r}")
         try:
             return FiniteMV(value)
@@ -139,10 +144,11 @@ def parse_algebra(obj):
             not isinstance(value, dict)
             or set(value) not in ({"rank", "unit"}, {"unit"})
             or not isinstance(value.get("unit"), list)
+            or not all(_is_int(u) for u in value["unit"])
         ):
             raise FormatError(f'expected {{"rank": r, "unit": [...]}}, got {value!r}')
         unit = value["unit"]
-        if "rank" in value and value["rank"] != len(unit):
+        if "rank" in value and (not _is_int(value["rank"]) or value["rank"] != len(unit)):
             raise FormatError(f"rank {value['rank']!r} does not match unit length {len(unit)}")
         try:
             return SimplicialGroup(unit)

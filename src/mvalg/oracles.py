@@ -2,14 +2,16 @@
 
 Everything here is deliberately independent of the representations it is
 used to validate: homomorphisms are searched as raw functions on carrier
-tables, ideals and subalgebras as subsets, connectivity by looking for
-two-block clopen partitions.  Slow by design, but complete at desk scale.
+tables, ideals and subalgebras as subsets, generated subalgebras by a
+round-based closure under + and !, connectivity by looking for two-block
+clopen partitions.  Slow by design, but complete at desk scale.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from itertools import combinations_with_replacement
+from typing import Iterable, Iterator
 
 from .algebras import Element, FiniteMV, Hom, _neg, _oplus, leq
 from .topology import FinSpace, bits, mask_of
@@ -175,13 +177,25 @@ def all_subalgebras_bruteforce(algebra: FiniteMV) -> list[frozenset[Element]]:
     return out
 
 
+def closure(algebra: FiniteMV, generators: Iterable[Element]) -> frozenset[Element]:
+    """The subalgebra generated by ``generators``: the closure of G u {0}
+    under + and !, adding each round's new sums and negations until a round
+    adds nothing."""
+    elements = {algebra.zero(), *generators}
+    while True:
+        snapshot = list(elements)
+        new = {_neg(x) for x in snapshot}
+        new.update(_oplus(a, b) for a, b in combinations_with_replacement(snapshot, 2))
+        if new <= elements:
+            return frozenset(elements)
+        elements |= new
+
+
 def all_subalgebras_by_extension(algebra: FiniteMV) -> list[frozenset[Element]]:
     """All subalgebras, generated by repeatedly closing one-element
     extensions; each candidate is re-verified to be closed."""
-    from .terms import generated_subalgebra
-
     elems = list(algebra.elements())
-    least = generated_subalgebra(algebra, []).elements
+    least = closure(algebra, [])
     found = {least}
     frontier = [least]
     while frontier:
@@ -189,7 +203,7 @@ def all_subalgebras_by_extension(algebra: FiniteMV) -> list[frozenset[Element]]:
         for a in elems:
             if a in s:
                 continue
-            t = generated_subalgebra(algebra, sorted(s | {a})).elements
+            t = closure(algebra, s | {a})
             if t not in found:
                 assert is_closed_subalgebra(algebra, set(t))
                 found.add(t)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import prod
 from typing import Iterable, Iterator
 
 from .algebras import (
@@ -25,7 +24,6 @@ from .algebras import (
     Hom,
     Ideal,
     is_boolean,
-    leq,
 )
 from .rationals import RationalAlgebra
 from .topology import FinSpace
@@ -126,21 +124,13 @@ def chi(algebra: FiniteMV, zero_on: Iterable) -> Element:
 
 def chinese_boolean(algebra: FiniteMV, zero_part: Iterable, one_part: Iterable) -> Element:
     """The unique Boolean element vanishing on one closed part of a partition
-    of the spectrum and equal to 1 on the other.  Uniqueness is verified by
-    exhausting the Boolean skeleton."""
+    of the spectrum and equal to 1 on the other: ``chi`` of the zero part.
+    It is unique because a Boolean element is fixed by its residues."""
     z = _point_indices(algebra, zero_part)
     o = _point_indices(algebra, one_part)
-    k = algebra.num_components
-    if z | o != frozenset(range(k)) or z & o:
+    if z | o != frozenset(range(algebra.num_components)) or z & o:
         raise AlgebraError("the two parts must partition the spectrum")
-    matches = [
-        b
-        for b in boolean_skeleton(algebra).elements()
-        if all(b[i] == ZERO for i in z) and all(b[i] == ONE for i in o)
-    ]
-    if len(matches) != 1:
-        raise AlgebraError(f"expected exactly one Boolean element, found {len(matches)}")
-    return matches[0]
+    return chi(algebra, z)
 
 
 def is_boolean_via_primes(algebra: FiniteMV, a: Element) -> bool:
@@ -197,31 +187,3 @@ def gelfand_transform(algebra: FiniteMV, a: Element) -> dict[SpectrumPoint, Frac
     """The coordinate table of a over the spectrum: p_i -> residue a_i."""
     algebra.check(a)
     return {p: p.residue(a) for p in spectrum(algebra)}
-
-
-def decompose_subalgebra(algebra: FiniteMV, elements: frozenset[Element] | set[Element]) -> tuple[int, ...]:
-    """Chain orders of the indecomposable factors of a subalgebra (given as
-    its closed element set).  The blocks are the supports of the atoms of the
-    subalgebra's own Boolean part; each block projection must be a chain."""
-    k = algebra.num_components
-    if k == 0:
-        return ()
-    zero = algebra.zero()
-    booleans = sorted(e for e in elements if all(c in (ZERO, ONE) for c in e))
-    nonzero = [b for b in booleans if b != zero]
-    atoms = [b for b in nonzero if not any(c != b and leq(c, b) for c in nonzero)]
-    atoms.sort(key=lambda b: min(i for i, c in enumerate(b) if c == ONE))
-    blocks = [tuple(i for i, c in enumerate(b) if c == ONE) for b in atoms]
-    covered = [i for block in blocks for i in block]
-    if sorted(covered) != list(range(k)):
-        raise AlgebraError("Boolean atoms of the subalgebra do not partition the components")
-    orders = []
-    for block in blocks:
-        proj = sorted({tuple(x[i] for i in block) for x in elements})
-        for u, v in zip(proj, proj[1:]):
-            if not leq(u, v):
-                raise AlgebraError("indecomposable block is not totally ordered")
-        orders.append(len(proj) - 1)
-    if prod(d + 1 for d in orders) != len(elements):
-        raise AlgebraError("block projections do not multiply back to the subalgebra")
-    return tuple(orders)

@@ -86,11 +86,6 @@ class RationalAlgebra:
             n *= p ** int(e)
         return n
 
-    def exponent_of(self, p: int) -> int | float:
-        if self.all_infinite:
-            return INF
-        return dict(self.exponents).get(p, 0)
-
     def contains(self, x: Fraction) -> bool:
         x = Fraction(x)
         if not 0 <= x <= 1:

@@ -1,5 +1,6 @@
 """Terms of the basic many-valued language: parsing, printing, evaluation,
-subalgebra generation, and order-rank.
+and generated subalgebras and order-rank in closed form (the round-based
+closure they are checked against lives in ``oracles``).
 
 Grammar (precedence tightest first, binary operators left-associative):
 
@@ -21,6 +22,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import product as iproduct
+from math import lcm, prod
 from typing import Iterable, Mapping
 
 from .algebras import (
@@ -35,7 +39,6 @@ from .algebras import (
     _odot,
     _oplus,
 )
-from .pierce import decompose_subalgebra
 from .rationals import RationalAlgebra
 
 
@@ -273,16 +276,6 @@ def term_to_str(term: Term) -> str:
     return render(term)
 
 
-def term_variables(term: Term) -> set[str]:
-    if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, Neg):
-        return term_variables(term.arg)
-    if isinstance(term, (Oplus, Odot, Meet, Join)):
-        return term_variables(term.left) | term_variables(term.right)
-    return set()
-
-
 def eval_term(term: Term, env: Mapping[str, Element], algebra: FiniteMV) -> Element:
     """Structural evaluation in the given algebra."""
     if isinstance(term, Zero):
@@ -310,56 +303,61 @@ def eval_term(term: Term, env: Mapping[str, Element], algebra: FiniteMV) -> Elem
 
 @dataclass(frozen=True, eq=False)
 class Subalgebra:
-    """A subalgebra given by its closed element set, with a closure
-    certificate recording one derivation per element."""
+    """The subalgebra generated by a set G, in closed form: ``blocks[b]``
+    lists the components whose generator columns ``(g[i] for g in G)`` are
+    equal, and the block carries the chain of order ``orders[b]``, the lcm
+    of the denominators in its column.  The subalgebra is the product of
+    those chains, each copied onto the components of its block."""
 
     ambient: FiniteMV
     generators: tuple[Element, ...]
-    elements: frozenset[Element]
-    certificate: dict[Element, tuple]
+    blocks: tuple[tuple[int, ...], ...]
+    orders: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return prod(d + 1 for d in self.orders)
 
-    def contains(self, x: Element) -> bool:
-        return x in self.elements
+    @cached_property
+    def elements(self) -> frozenset[Element]:
+        chains = [[Fraction(j, d) for j in range(d + 1)] for d in self.orders]
+        coords = [ZERO] * self.ambient.num_components
+        out = set()
+        for values in iproduct(*chains):
+            for block, v in zip(self.blocks, values):
+                for i in block:
+                    coords[i] = v
+            out.add(tuple(coords))
+        return frozenset(out)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subalgebra)
             and self.ambient == other.ambient
-            and self.elements == other.elements
+            and self.blocks == other.blocks
+            and self.orders == other.orders
         )
 
 
+def _columns(algebra: FiniteMV, gens: tuple[Element, ...]) -> dict[tuple, list[int]]:
+    """Components grouped by generator column, in order of first occurrence."""
+    columns: dict[tuple, list[int]] = {}
+    for i in range(algebra.num_components):
+        columns.setdefault(tuple(g[i] for g in gens), []).append(i)
+    return columns
+
+
 def generated_subalgebra(algebra: FiniteMV, generators: Iterable[Element]) -> Subalgebra:
-    """Least subalgebra containing the generators: the closure of G u {0}
-    under + and !, built by a deterministic round-based worklist."""
+    """Least subalgebra containing the generators.  By McNaughton's theorem
+    read at rational points, a term function takes at a point of
+    denominator d exactly the values j/d, and distinct points take
+    independent values; so each distinct column c is a free chain of order
+    lcm(den c), and equal columns stay equal."""
     gens = tuple(algebra.check(g) for g in generators)
-    cert: dict[Element, tuple] = {algebra.zero(): ("zero",)}
-    for g in gens:
-        cert.setdefault(g, ("generator",))
-    elements = set(cert)
-    while True:
-        snapshot = sorted(elements)
-        new: dict[Element, tuple] = {}
-        for x in snapshot:
-            nx = _neg(x)
-            if nx not in elements and nx not in new:
-                new[nx] = ("neg", x)
-        for a in snapshot:
-            for b in snapshot:
-                if b < a:
-                    continue
-                s = _oplus(a, b)
-                if s not in elements and s not in new:
-                    new[s] = ("oplus", a, b)
-        if not new:
-            break
-        elements.update(new)
-        cert.update(new)
-    return Subalgebra(algebra, gens, frozenset(elements), cert)
+    columns = _columns(algebra, gens)
+    blocks = tuple(tuple(block) for block in columns.values())
+    orders = tuple(lcm(*(c.denominator for c in column)) for column in columns)
+    return Subalgebra(algebra, gens, blocks, orders)
 
 
 @dataclass(frozen=True)
@@ -388,7 +386,7 @@ def _envelope(ambient: RankAmbient, a) -> tuple[FiniteMV, Element]:
     for c, comp in zip(coords, comps):
         comp.check(c)
     # the subalgebra generated by a rational p/q is the chain of order q, so
-    # closing inside the product of those chains loses nothing
+    # generating inside the product of those chains loses nothing
     envelope = FiniteMV(c.denominator for c in coords)
     return envelope, coords
 
@@ -396,5 +394,4 @@ def _envelope(ambient: RankAmbient, a) -> tuple[FiniteMV, Element]:
 def order_rank(ambient: RankAmbient, a) -> OrderRank:
     envelope, elem = _envelope(ambient, a)
     sub = generated_subalgebra(envelope, [elem])
-    orders = decompose_subalgebra(envelope, sub.elements)
-    return OrderRank(len(orders), orders, sub)
+    return OrderRank(len(sub.orders), sub.orders, sub)

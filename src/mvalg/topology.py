@@ -180,12 +180,6 @@ class Pi0Result:
     def class_count(self) -> int:
         return self.space.points
 
-    def class_masks(self) -> list[int]:
-        masks = [0] * self.space.points
-        for x, c in enumerate(self.class_of):
-            masks[c] |= 1 << x
-        return masks
-
 
 def pi0(space: FinSpace) -> Pi0Result:
     """The space of components with the quotient topology."""

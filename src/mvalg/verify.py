@@ -10,6 +10,7 @@ default makes every run reproducible bit for bit.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ from .coproducts import (
 from .lgroups import gamma, product_unital, xi
 from .oracles import (
     brute_force_hom_graphs,
+    closure,
     components_bruteforce,
     hom_graph,
     iter_finite_algebras,
@@ -166,8 +168,8 @@ def check_pierce_coproducts(size: int = 4, seed: int = 0) -> CriterionReport:
 
 
 def check_separability(size: int = 4, seed: int = 0) -> CriterionReport:
-    """Witness search and chain decomposition agree: every algebra in the
-    sweep gets a Boolean complement of the codiagonal kernel whose split is a
+    """The witness and chain decomposition agree: every algebra in the sweep
+    gets a Boolean complement of the codiagonal kernel whose split is a
     product decomposition, and decompose + embed produces matching rational
     factors."""
     catalog = list(iter_finite_algebras(max_components=3, max_order=size))
@@ -365,8 +367,9 @@ def check_pi0_products(size: int = 4, seed: int = 0, sample: int = 24) -> Criter
 
 
 def check_order_rank(size: int = 24, seed: int = 0) -> CriterionReport:
-    """Every rational p/q generates the full chain of order q (rank 1), and
-    homs preserve generation and finite order-rank."""
+    """Every rational p/q generates the full chain of order q (rank 1), the
+    closed form of Sa(x) equals the round-based closure for every element of
+    the catalog, and homs preserve generation and finite order-rank."""
     full = RationalAlgebra.full()
     singles = 0
     for q in range(1, size + 1):
@@ -382,6 +385,9 @@ def check_order_rank(size: int = 24, seed: int = 0) -> CriterionReport:
     catalog = list(iter_finite_algebras(max_components=2, max_order=4))
     for a in catalog:
         elems = list(a.elements())
+        for x in elems:
+            if generated_subalgebra(a, [x]).elements != closure(a, [x]):
+                return _fail("order-rank", f"closed form of Sa({x}) in {a} differs from the closure")
         for b in catalog:
             for h in enumerate_homs(a, b):
                 for x in elems:
@@ -439,14 +445,20 @@ CRITERIA = {
 
 
 def run_criterion(name: str, size: int | None = None, seed: int = 0) -> CriterionReport:
+    """Run one suite.  An exception the suite raises is a defect it found in
+    the code under test, so it becomes a FAIL report naming the exception
+    and where it was raised."""
     if name not in CRITERIA:
         raise ValueError(f"unknown criterion {name!r}; known: {', '.join(sorted(CRITERIA))}")
     fn = CRITERIA[name]
     start = time.perf_counter()
-    report = fn(seed=seed) if size is None else fn(size, seed=seed)
+    try:
+        report = fn(seed=seed) if size is None else fn(size, seed=seed)
+    except Exception as exc:
+        import traceback
+
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+        report = _fail(name, f"{type(exc).__name__} at {where}: {exc}")
     report.elapsed = time.perf_counter() - start
     return report
-
-
-def run_all(size: int | None = None, seed: int = 0) -> list[CriterionReport]:
-    return [run_criterion(name, size=size, seed=seed) for name in CRITERIA]

@@ -188,6 +188,19 @@ class TestErrorHandling:
     def test_invalid_topology_exits_2(self, capsys):
         assert run_cli(capsys, "pi0", "--space", '{"points":2,"opens":[[],[0]]}')[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--alg", '{"finite":[true,2]}'],
+            ["eval", "--alg", '{"finite":[2]}', "--term", "x", "--env", '{"x":[true]}'],
+            ["subterminal", "--alg", '{"rational":{"kind":"chain","n":true}}'],
+        ],
+        ids=["chain-order", "env-coordinate", "rational-chain"],
+    )
+    def test_json_boolean_for_a_number_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self):
