@@ -76,12 +76,20 @@ class FiniteMV:
         yield from iproduct(*(self.chain(i) for i in range(len(self.orders))))
 
     def contains(self, x: Element) -> bool:
+        """x is a tuple with one Fraction k/d per component, 0 <= k <= d and
+        d dividing that component's order.  Fractions are kept in lowest
+        terms, so this integer test on the public numerator and denominator
+        is exactly membership of {0, 1/m, ..., 1}; no Fraction comparison
+        is made."""
         if not isinstance(x, tuple) or len(x) != len(self.orders):
             return False
-        return all(
-            isinstance(c, Fraction) and ZERO <= c <= ONE and m % c.denominator == 0
-            for c, m in zip(x, self.orders)
-        )
+        for c, m in zip(x, self.orders):
+            if not isinstance(c, Fraction):
+                return False
+            d = c.denominator
+            if m % d or not 0 <= c.numerator <= d:
+                return False
+        return True
 
     def check(self, x: Element) -> Element:
         if not self.contains(x):
@@ -106,9 +114,13 @@ class FiniteMV:
 
 # -- coordinatewise operations ------------------------------------------------
 #
-# The underscored versions skip membership validation; they are what closure
-# loops and exhaustive sweeps call.  The public ones validate and are the
-# operations the rest of the API exposes.
+# Elements stay tuples of Fractions, because that is what every public
+# result is compared with; only membership (FiniteMV.contains) works on the
+# integer numerators and denominators.  Validation happens once, at a public
+# entry: the public operations below, Hom.__call__, ProductSplit.pair and
+# ProductSplit.combine check their arguments and then call the underscored
+# versions, which do not.  Closure loops and exhaustive sweeps call the
+# underscored versions directly.
 
 
 def _neg(x: Element) -> Element:
@@ -215,7 +227,10 @@ class Hom:
         object.__setattr__(self, "component_map", component_map)
 
     def __call__(self, x: Element) -> Element:
-        self.source.check(x)
+        return self._apply(self.source.check(x))
+
+    def _apply(self, x: Element) -> Element:
+        """The action on an element already known to lie in the source."""
         return tuple(x[i] for i in self.component_map)
 
     @staticmethod
@@ -336,15 +351,19 @@ class ProductSplit:
     q1: Hom
 
     def pair(self, a: Element) -> tuple[Element, Element]:
-        return self.q0(a), self.q1(a)
+        a = self.ambient.check(a)
+        return self.q0._apply(a), self.q1._apply(a)
 
     def combine(self, c0: Element, c1: Element) -> Element:
-        """The element c with q0 c = q0 c0 and q1 c = q1 c1, via
+        """The element c with q0 c = q0 c0 and q1 c = q1 c1: c1's coordinate
+        where x = 1 and c0's elsewhere, the closed form of
         c = (c0 /\\ not x) \\/ (c1 /\\ x)."""
         c0 = self.ambient.check(c0)
         c1 = self.ambient.check(c1)
-        nx = _neg(self.element)
-        return _join(_meet(c0, nx), _meet(c1, self.element))
+        c = list(c0)
+        for i in self.q1.component_map:  # exactly the components where x = 1
+            c[i] = c1[i]
+        return tuple(c)
 
 
 def product_split(algebra: FiniteMV, x: Element) -> ProductSplit:

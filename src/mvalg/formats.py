@@ -3,13 +3,15 @@
 Algebras: {"finite": [2, 3]}, {"rational": {"kind": "chain", "n": 6}},
 {"rational": {"kind": "supernatural", "primes": {"2": "inf"}, "all": false}},
 {"product": [rational...]}, {"simplicial": {"rank": 2, "unit": [2, 3]}}.
-Elements are lists of fraction strings in lowest terms (["1/2", "1/3"]);
+Elements are lists of fraction strings (["1/2", "1/3"]): digits "p" or "p/q",
+read as the rational p/q, so "2/4" is 1/2 (JSON integers are accepted too);
 environments map variable names to fraction strings; spaces are
 {"points": n, "opens": [[...], ...]}.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .algebras import AlgebraError, Element, FiniteMV, Hom
@@ -42,16 +44,24 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_FRACTION = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
 def parse_fraction(text) -> Fraction:
-    if isinstance(text, Fraction):
-        f = text
-    elif isinstance(text, str) or _is_int(text):
+    """A Fraction, a JSON integer, or a string of digits "p" or "p/q"; no
+    sign, space, decimal point or exponent."""
+    if isinstance(text, Fraction) or _is_int(text):
+        f = Fraction(text)
+    elif isinstance(text, str) and (m := _FRACTION.fullmatch(text)):
         try:
-            f = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"malformed fraction {text!r}: {exc}") from None
+            num, den = int(m[1]), int(m[2] or 1)
+        except ValueError as exc:  # int() refuses very long digit strings
+            raise FormatError(f"malformed fraction {text[:20]!r}...: {exc}") from None
+        if den == 0:
+            raise FormatError(f"malformed fraction {text!r}: zero denominator")
+        f = Fraction(num, den)
     else:
-        raise FormatError(f"malformed fraction {text!r}")
+        raise FormatError(f"malformed fraction {text!r}: expected \"p\" or \"p/q\" in digits")
     if not 0 <= f <= 1:
         raise FormatError(f"fraction {text!r} is outside [0,1]")
     return f
@@ -110,8 +120,11 @@ def _parse_rational(obj) -> RationalAlgebra:
                 caps[prime] = e
             else:
                 raise FormatError(f"bad exponent {e!r} for prime {p}")
+        all_infinite = obj.get("all", False)
+        if not isinstance(all_infinite, bool):
+            raise FormatError(f'"all" must be true or false, got {all_infinite!r}')
         try:
-            return RationalAlgebra.supernatural(caps, bool(obj.get("all", False)))
+            return RationalAlgebra.supernatural(caps, all_infinite)
         except AlgebraError as exc:
             raise FormatError(str(exc)) from None
     raise FormatError(f"unknown rational algebra kind {obj['kind']!r}")

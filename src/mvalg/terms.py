@@ -15,6 +15,11 @@ Grammar (precedence tightest first, binary operators left-associative):
 The bare word ``v`` is the join operator and is therefore not available as a
 variable name.  Rational constants must lie in [0,1] and are only evaluable
 in algebras that contain them in every coordinate.
+
+A term may nest at most MAX_TERM_DEPTH levels deep: a leaf is one level, and
+each ``!``, each binary operator and each pair of parentheses adds one above
+its operands.  The parser rejects deeper input with a ParseError before it
+recurses that far, so evaluation and printing never meet a deeper tree.
 """
 
 from __future__ import annotations
@@ -116,6 +121,8 @@ _ATOM_LEVEL = 5
 
 # -- parser ---------------------------------------------------------------------
 
+MAX_TERM_DEPTH = 64
+
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+*!^()/]))")
 
 
@@ -146,6 +153,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.enclosing = 0  # '!' and '(' constructs open around the current position
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -163,47 +171,70 @@ class _Parser:
             raise ParseError(f"expected {value!r}, got {tok[1]!r}", tok[2])
 
     def parse(self) -> Term:
-        t = self.parse_join()
+        t, _ = self.parse_join()
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
         return t
 
-    def _binary(self, symbol: str, node, next_level):
-        t = next_level()
+    # Each parse_* method returns a subterm with its depth.  The whole term
+    # is at least as deep as the constructs still open around a subterm plus
+    # the subterm itself, so the budget is checked against that sum: on the
+    # way down at every '!' and '(', and on the way up at every binary node.
+
+    def _check_depth(self, depth: int, at: int) -> int:
+        if self.enclosing + depth > MAX_TERM_DEPTH:
+            raise ParseError(f"term nests more than {MAX_TERM_DEPTH} levels deep", at)
+        return depth
+
+    def _nested(self, at: int, inner) -> tuple[Term, int]:
+        """Parse the operand of a '!' or '(' at position ``at``."""
+        self.enclosing += 1
+        self._check_depth(1, at)
+        t, depth = inner()
+        self.enclosing -= 1
+        return t, depth + 1
+
+    def _binary(self, symbol: str, node, next_level) -> tuple[Term, int]:
+        t, depth = next_level()
         while True:
             tok = self.peek()
             if tok is None or tok[0] != "op" or tok[1] != symbol:
-                return t
+                return t, depth
             self.take()
-            t = node(t, next_level())
+            right, right_depth = next_level()
+            t, depth = node(t, right), self._check_depth(1 + max(depth, right_depth), tok[2])
 
-    def parse_join(self) -> Term:
+    def parse_join(self) -> tuple[Term, int]:
         return self._binary("v", Join, self.parse_meet)
 
-    def parse_meet(self) -> Term:
+    def parse_meet(self) -> tuple[Term, int]:
         return self._binary("^", Meet, self.parse_sum)
 
-    def parse_sum(self) -> Term:
+    def parse_sum(self) -> tuple[Term, int]:
         return self._binary("+", Oplus, self.parse_product)
 
-    def parse_product(self) -> Term:
+    def parse_product(self) -> tuple[Term, int]:
         return self._binary("*", Odot, self.parse_unary)
 
-    def parse_unary(self) -> Term:
+    def parse_unary(self) -> tuple[Term, int]:
         tok = self.peek()
         if tok is not None and tok[0] == "op" and tok[1] == "!":
             self.take()
-            return Neg(self.parse_unary())
-        return self.parse_atom()
+            t, depth = self._nested(tok[2], self.parse_unary)
+            return Neg(t), depth
+        if tok is not None and tok[0] == "op" and tok[1] == "(":
+            self.take()
+            return self._nested(tok[2], self._parenthesised)
+        return self.parse_leaf(), 1
 
-    def parse_atom(self) -> Term:
-        tok = self.take()
-        kind, value, at = tok
-        if kind == "op" and value == "(":
-            t = self.parse_join()
-            self.expect(")")
-            return t
+    def _parenthesised(self) -> tuple[Term, int]:
+        inner = self.parse_join()
+        self.expect(")")
+        return inner
+
+    def parse_leaf(self) -> Term:
+        kind, value, at = self.take()
         if kind == "ident":
             return Var(value)
         if kind == "int":

@@ -14,7 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-MAX_PRODUCT_POINTS = 20  # 2^points subsets are materialized for products
+# A product space stores every one of its opens, and a product of n points
+# can have up to 2^n of them (the discrete case), so products are capped
+# here to bound the opens a product can emit.
+MAX_PRODUCT_POINTS = 20
 
 
 class TopologyError(ValueError):
@@ -110,8 +113,12 @@ class FinSpace:
 
 
 def space_from_min_nbhds(nbhds: Sequence[int]) -> FinSpace:
-    """The topology whose opens are the up-sets of the given minimal
-    neighbourhoods.  The assignment must satisfy y in N(x) => N(y) <= N(x)."""
+    """The topology whose opens are the unions of the given minimal
+    neighbourhoods.  The assignment must satisfy y in N(x) => N(y) <= N(x).
+
+    The opens are generated, not searched for: starting from the empty set,
+    each N(x) in turn is joined to every open found so far, so the work is
+    proportional to n times the number of opens rather than to 2^n."""
     n = len(nbhds)
     for x in range(n):
         if not nbhds[x] & (1 << x):
@@ -119,10 +126,9 @@ def space_from_min_nbhds(nbhds: Sequence[int]) -> FinSpace:
         for y in bits(nbhds[x]):
             if nbhds[y] & ~nbhds[x]:
                 raise TopologyError("not an Alexandrov neighbourhood assignment")
-    opens = []
-    for w in range(1 << n):
-        if all(not (nbhds[x] & ~w) for x in bits(w)):
-            opens.append(w)
+    opens = {0}
+    for nx in nbhds:
+        opens |= {o | nx for o in opens}
     return FinSpace(n, opens, validate=False)
 
 

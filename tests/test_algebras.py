@@ -1,6 +1,7 @@
 """Core carriers, operations, homs, ideals, quotients, and splittings."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -74,6 +75,77 @@ class TestOperations:
         assert TERMINAL.size == 1
         assert TERMINAL.zero() == TERMINAL.one() == ()
         assert is_boolean(TERMINAL, ())
+
+
+# candidates p/q with q <= 12 and -1 <= p/q <= 2, each Fraction once
+_CANDIDATES = sorted({Fraction(p, q) for q in range(1, 13) for p in range(-q, 2 * q + 1)})
+_NOT_FRACTIONS = [0, 1, True, False, 0.0, 0.5, 1.0, "0", "1/2", None]
+
+
+class TestMembershipKernel:
+    """FiniteMV.contains works on numerators and denominators; it must accept
+    exactly the carrier that elements() lists, and only Fraction tuples."""
+
+    @staticmethod
+    def _reference(carrier, x):
+        return (
+            isinstance(x, tuple)
+            and all(isinstance(c, Fraction) for c in x)
+            and x in carrier
+        )
+
+    @pytest.mark.parametrize(
+        "algebra", list(iter_finite_algebras(max_components=2, max_order=6)), ids=repr
+    )
+    def test_agrees_with_the_carrier_on_a_grid(self, algebra):
+        carrier = set(algebra.elements())
+        k = algebra.num_components
+        grid = list(product(_CANDIDATES, repeat=k))
+        shapes = []
+        for x in list(carrier)[:8]:
+            shapes.append(list(x))  # a list, not a tuple
+            shapes.append(x + (Fraction(0),))  # one coordinate too many
+            if k:
+                shapes.append(x[:-1])  # one too few
+            for i in range(k):
+                for bad in _NOT_FRACTIONS:
+                    shapes.append(x[:i] + (bad,) + x[i + 1:])
+        shapes += [None, Fraction(0), "0"]
+        members = 0
+        for x in grid + shapes:
+            expected = self._reference(carrier, x)
+            assert algebra.contains(x) is expected, x
+            members += expected
+        assert members == len(carrier)  # the grid holds every carrier element once
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (Fraction(1, 2), Fraction(0)),
+            (Fraction(4, 3), Fraction(0)),
+            (Fraction(-1, 3), Fraction(0)),
+            (1, Fraction(0)),
+            (True, Fraction(0)),
+            [Fraction(0), Fraction(0)],
+            (Fraction(0),) * 3,
+        ],
+        ids=["outside-L3", "above-one", "negative", "int", "bool", "list", "too-long"],
+    )
+    def test_public_entries_reject_non_elements(self, bad):
+        a = FiniteMV([3, 3])
+        split = product_split(a, a.atom(0))
+        hom = Hom(a, FiniteMV([3, 6]), [0, 1])
+        ok = a.zero()
+        for call in (
+            lambda: hom(bad),
+            lambda: split.pair(bad),
+            lambda: split.combine(bad, ok),
+            lambda: split.combine(ok, bad),
+            lambda: neg(a, bad),
+            lambda: a.check(bad),
+        ):
+            with pytest.raises(AlgebraError):
+                call()
 
 
 class TestMVAxioms:

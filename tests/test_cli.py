@@ -31,6 +31,13 @@ class TestFormats:
         with pytest.raises(FormatError):
             parse_fraction("1/0")
 
+    def test_fraction_accepts_digits_only(self):
+        assert parse_fraction("2/4") == Fraction(1, 2)  # non-reduced p/q is read as its value
+        assert parse_fraction("0/7") == 0 and parse_fraction("1") == 1 and parse_fraction(1) == 1
+        for bad in ["0.5", "1e-1", " 1/2", "1/2 ", "+1/2", "-0", "1 / 2", "1/", "/2", "", "½", "1/" + "1" * 5000, True, 0.5, None]:
+            with pytest.raises(FormatError):
+                parse_fraction(bad)
+
     def test_element_round_trip(self):
         a = FiniteMV([2, 3])
         x = parse_element(a, ["1/2", "1/3"])
@@ -200,6 +207,26 @@ class TestErrorHandling:
     def test_json_boolean_for_a_number_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--alg", '{"rational":{"kind":"supernatural","primes":{},"all":"false"}}', "--elem", '"1/3"'],
+            ["spec", "--alg", '{"finite":[2]}', "--elem", '["0.5"]'],
+            ["spec", "--alg", '{"finite":[2]}', "--elem", '["1e-1"]'],
+            ["spec", "--alg", '{"finite":[2]}', "--elem", '[" 1/2"]'],
+            ["eval", "--alg", '{"finite":[2]}', "--term", "!" * 1000 + "x", "--env", '{"x":"1/2"}'],
+            ["eval", "--alg", '{"finite":[2]}', "--term", "!" * 5000 + "x", "--env", '{"x":"1/2"}'],
+            ["eval", "--alg", '{"finite":[2]}', "--term", "(" * 100 + "x" + ")" * 100, "--env", '{"x":"1/2"}'],
+            ["eval", "--alg", '{"finite":[2]}', "--term", "x + " * 3000 + "x", "--env", '{"x":"1/2"}'],
+        ],
+        ids=["all-a-string", "decimal", "exponent", "leading-space",
+             "1000-negations", "5000-negations", "100-parentheses", "3000-sums"],
+    )
+    def test_malformed_wire_input_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

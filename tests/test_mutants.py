@@ -9,8 +9,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from mvalg import cli, coproducts, pierce, terms, verify
-from mvalg.algebras import ONE, Hom, _neg
+from mvalg import cli, coproducts, pierce, terms, topology, verify
+from mvalg.algebras import ONE, Hom, ProductSplit, _neg
 
 
 def homs_without_divisibility(source, target):
@@ -35,6 +35,20 @@ def chi_complemented(algebra, zero_on):
     return _neg(pierce.chi(algebra, zero_on))
 
 
+def combine_selecting_c0_where_x_is_one(split, c0, c1):
+    """combine with the roles of c0 and c1 swapped."""
+    c0, c1 = split.ambient.check(c0), split.ambient.check(c1)
+    return tuple(a if e == ONE else b for a, b, e in zip(c0, c1, split.element))
+
+
+def opens_without_the_last_neighbourhood(nbhds):
+    """The union generation of the opens, skipping the last N(x)."""
+    opens = {0}
+    for nx in nbhds[:-1]:
+        opens |= {o | nx for o in opens}
+    return topology.FinSpace(len(nbhds), opens, validate=False)
+
+
 MUTANTS = [
     pytest.param(coproducts, "lcm", max, "coproduct-universal", 3, id="coproduct-lcm-as-max"),
     pytest.param(
@@ -42,6 +56,13 @@ MUTANTS = [
     ),
     pytest.param(terms, "_columns", columns_tied_with_negation, "order-rank", 4, id="columns-tied-with-negation"),
     pytest.param(coproducts, "chi", chi_complemented, "separability", 1, id="witness-off-diagonal"),
+    pytest.param(
+        ProductSplit, "combine", combine_selecting_c0_where_x_is_one, "product-split", 6, id="combine-swapped"
+    ),
+    pytest.param(
+        topology, "space_from_min_nbhds", opens_without_the_last_neighbourhood, "pi0-products", 4,
+        id="opens-without-last-neighbourhood",
+    ),
 ]
 
 

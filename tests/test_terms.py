@@ -19,7 +19,7 @@ from mvalg import (
     term_to_str,
 )
 from mvalg.oracles import all_subalgebras_bruteforce, all_subalgebras_by_extension
-from mvalg.terms import Const, Join, Meet, Neg, Odot, One, Oplus, Var, Zero
+from mvalg.terms import MAX_TERM_DEPTH, Const, Join, Meet, Neg, Odot, One, Oplus, Var, Zero
 
 L2 = FiniteMV([2])
 L3 = FiniteMV([3])
@@ -55,6 +55,40 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_term(bad)
         assert "position" in str(err.value)
+
+
+def _nested(kind: str, depth: int) -> str:
+    """A term of exactly ``depth`` levels, built from one kind of nesting."""
+    if kind == "neg":
+        return "!" * (depth - 1) + "x"
+    if kind == "parens":
+        return "(" * (depth - 1) + "x" + ")" * (depth - 1)
+    if kind == "sum-chain":
+        return "x + " * (depth - 1) + "x"
+    return "!(" * ((depth - 1) // 2) + "x" + ")" * ((depth - 1) // 2)  # depth odd
+
+
+class TestDepthBudget:
+    @pytest.mark.parametrize("kind", ["neg", "parens", "sum-chain", "neg-parens"])
+    def test_budget_is_exact(self, kind):
+        at_budget = _nested(kind, MAX_TERM_DEPTH - (kind == "neg-parens"))
+        parse_term(at_budget)
+        with pytest.raises(ParseError, match="levels deep"):
+            parse_term(_nested(kind, MAX_TERM_DEPTH + 1))
+
+    def test_budget_is_64_and_such_a_term_evaluates(self):
+        assert MAX_TERM_DEPTH == 64
+        value = eval_term(parse_term(_nested("neg", 64)), {"x": L3.element(["1/3"])}, L3)
+        assert value == (Fraction(2, 3),)  # 63 negations
+        assert eval_term(parse_term(_nested("sum-chain", 64)), {"x": L3.element(["1/3"])}, L3) == L3.one()
+
+    def test_depth_counts_the_deepest_branch(self):
+        deep = _nested("neg", MAX_TERM_DEPTH - 1)
+        parse_term(f"y v {deep}")  # one join above the deepest branch
+        with pytest.raises(ParseError):
+            parse_term(f"y v ({deep})")  # the parentheses add a level
+        with pytest.raises(ParseError):
+            parse_term(f"y v {deep} v y")  # two joins above the deepest branch
 
     def test_print_parse_round_trip_on_examples(self):
         for text in ["!(x + x)", "x * !x", "1/2 + 1/3", "(a v b) ^ c", "a + (b + c)"]:

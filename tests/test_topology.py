@@ -17,7 +17,13 @@ from mvalg import (
     quasi_components,
 )
 from mvalg.oracles import components_bruteforce
-from mvalg.topology import FiniteBoolean, iter_topologies, space_to_json
+from mvalg.topology import (
+    FiniteBoolean,
+    iter_min_nbhd_assignments,
+    iter_topologies,
+    space_from_min_nbhds,
+    space_to_json,
+)
 
 SIERPINSKI = FinSpace.from_sets(2, [[], [0], [0, 1]])
 
@@ -48,6 +54,30 @@ class TestFinSpace:
         from mvalg.topology import parse_space_json
 
         assert parse_space_json(space_to_json(SIERPINSKI)) == SIERPINSKI
+
+
+def _opens_by_subset_scan(nbhds):
+    """Reference: every subset W with N(x) <= W for all x in W."""
+    return frozenset(
+        w for w in range(1 << len(nbhds)) if all(not nbhds[x] & ~w for x in range(len(nbhds)) if w >> x & 1)
+    )
+
+
+class TestOpensFromNeighbourhoods:
+    @pytest.mark.parametrize("n", range(6))
+    def test_unions_of_neighbourhoods_equal_the_subset_scan(self, n):
+        count = 0
+        for nbhds, space in zip(iter_min_nbhd_assignments(n), iter_topologies(n), strict=True):
+            assert space.opens == _opens_by_subset_scan(nbhds)
+            assert space.min_nbhd() == list(nbhds)
+            count += 1
+        assert count == [1, 1, 4, 29, 355, 6942][n]
+
+    def test_rejects_a_non_alexandrov_assignment(self):
+        with pytest.raises(TopologyError):
+            space_from_min_nbhds([0b11, 0b10 | 0b100, 0b100])  # 1 in N(0) but N(1) not <= N(0)
+        with pytest.raises(TopologyError):
+            space_from_min_nbhds([0b10, 0b10])  # N(0) must contain 0
 
 
 class TestComponents:
