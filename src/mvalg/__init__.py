@@ -13,7 +13,6 @@ from .algebras import (
     Hom,
     Ideal,
     ProductSplit,
-    apply_operation,
     enumerate_homs,
     is_boolean,
     join,

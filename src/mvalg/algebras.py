@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Element = tuple[Fraction, ...]
 
@@ -161,28 +161,6 @@ def join(algebra: FiniteMV, x: Element, y: Element) -> Element:
 
 def meet(algebra: FiniteMV, x: Element, y: Element) -> Element:
     return _meet(algebra.check(x), algebra.check(y))
-
-
-OPERATIONS = {
-    "oplus": (2, oplus),
-    "neg": (1, neg),
-    "odot": (2, odot),
-    "join": (2, join),
-    "meet": (2, meet),
-}
-
-_OP_ALIASES = {"+": "oplus", "!": "neg", "*": "odot", "v": "join", "^": "meet"}
-
-
-def apply_operation(op: str, args: Sequence[Element], algebra: FiniteMV) -> Element:
-    """Apply a named basic operation (oplus/neg/odot/join/meet or +,!,*,v,^)."""
-    name = _OP_ALIASES.get(op, op)
-    if name not in OPERATIONS:
-        raise AlgebraError(f"unknown operation {op!r}")
-    arity, fn = OPERATIONS[name]
-    if len(args) != arity:
-        raise AlgebraError(f"{name} takes {arity} argument(s), got {len(args)}")
-    return fn(algebra, *args)
 
 
 def is_boolean(algebra: FiniteMV, x: Element) -> bool:

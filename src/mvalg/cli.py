@@ -50,6 +50,10 @@ from .verify import CRITERIA, run_criterion
 
 USER_ERRORS = (FormatError, AlgebraError, TermError, TopologyError, json.JSONDecodeError)
 
+# spec lists the 2^k opens of the discrete spectrum and pierce the 2^k
+# Boolean elements of an algebra with k components, so both refuse larger k
+MAX_LISTED_COMPONENTS = 16
+
 
 def _load(text: str | None, flag: str):
     if text is None:
@@ -74,6 +78,13 @@ def cmd_eval(args) -> dict:
     return {"algebra": algebra_to_json(algebra), "value": element_to_json(value)}
 
 
+def _listable(algebra: FiniteMV) -> FiniteMV:
+    k = algebra.num_components
+    if k > MAX_LISTED_COMPONENTS:
+        raise FormatError(f"{k} components would list 2^{k} items; at most {MAX_LISTED_COMPONENTS} are accepted")
+    return algebra
+
+
 def cmd_decompose(args) -> dict:
     algebra = _finite(args)
     dec = decompose(algebra)
@@ -86,7 +97,7 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_pierce(args) -> dict:
-    algebra = _finite(args)
+    algebra = _listable(_finite(args))
     skel = boolean_skeleton(algebra)
     return {
         "algebra": algebra_to_json(algebra),
@@ -145,7 +156,7 @@ def cmd_subterminal(args) -> dict:
 
 
 def cmd_spec(args) -> dict:
-    algebra = _finite(args)
+    algebra = _listable(_finite(args))
     out = {
         "algebra": algebra_to_json(algebra),
         "points": [p.index for p in spectrum(algebra)],

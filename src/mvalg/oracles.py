@@ -4,7 +4,8 @@ Everything here is deliberately independent of the representations it is
 used to validate: homomorphisms are searched as raw functions on carrier
 tables, ideals and subalgebras as subsets, generated subalgebras by a
 round-based closure under + and !, connectivity by looking for two-block
-clopen partitions.  Slow by design, but complete at desk scale.
+clopen partitions, topologies and quotients on their explicit open sets.
+Slow by design, but complete at desk scale.
 """
 
 from __future__ import annotations
@@ -211,15 +212,54 @@ def all_subalgebras_by_extension(algebra: FiniteMV) -> list[frozenset[Element]]:
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-# -- connectivity of finite spaces -------------------------------------------------
+# -- finite spaces on their explicit open sets ---------------------------------------
 
 
-def is_relatively_open(space: FinSpace, part: int, whole: int) -> bool:
+def is_topology_pairwise(points: int, opens: Iterable[int]) -> bool:
+    """The definition: the family lies in range(points), contains the empty
+    and the full set, and is closed under pairwise union and intersection."""
+    opens = set(opens)
+    full = (1 << points) - 1
+    return (
+        0 in opens
+        and full in opens
+        and all(not o & ~full for o in opens)
+        and all(a | b in opens and a & b in opens for a in opens for b in opens)
+    )
+
+
+def is_continuous_by_preimages(f: tuple[int, ...], source: FinSpace, target: FinSpace) -> bool:
+    """The definition: the preimage of every open of the target is open."""
+    opens = source.opens
+    return all(
+        mask_of(x for x in range(source.points) if o >> f[x] & 1) in opens for o in target.opens
+    )
+
+
+def quotient_bruteforce(space: FinSpace, class_of: tuple[int, ...]) -> FinSpace:
+    """The quotient topology on the classes: every set of classes whose union
+    is open, found by scanning all 2^k sets of classes."""
+    opens = space.opens
+    k = max(class_of, default=-1) + 1
+    masks = [0] * k
+    for x, c in enumerate(class_of):
+        masks[c] |= 1 << x
+    found = []
+    for w in range(1 << k):
+        pre = 0
+        for c in bits(w):
+            pre |= masks[c]
+        if pre in opens:
+            found.append(list(bits(w)))
+    return FinSpace.from_sets(k, found)
+
+
+def is_relatively_open(opens: frozenset[int], part: int, whole: int) -> bool:
     """Whether ``part`` is open in the subspace topology on ``whole``."""
-    return any(o & whole == part for o in space.opens)
+    return any(o & whole == part for o in opens)
 
 
-def is_connected_subset(space: FinSpace, subset: int) -> bool:
+def is_connected_subset(opens: frozenset[int], subset: int) -> bool:
     """No two-block partition into relatively clopen parts; empty set is not
     connected."""
     if subset == 0:
@@ -231,7 +271,7 @@ def is_connected_subset(space: FinSpace, subset: int) -> bool:
         v = subset & ~u
         if v == 0:
             continue
-        if is_relatively_open(space, u, subset) and is_relatively_open(space, v, subset):
+        if is_relatively_open(opens, u, subset) and is_relatively_open(opens, v, subset):
             return False
     return True
 
@@ -259,7 +299,8 @@ def components_bruteforce(space: FinSpace) -> tuple[int, ...]:
     """Component labels via maximal connected subsets (classes numbered by
     smallest member)."""
     n = space.points
-    connected = [s for s in range(1, 1 << n) if is_connected_subset(space, s)]
+    opens = space.opens
+    connected = [s for s in range(1, 1 << n) if is_connected_subset(opens, s)]
     label = [-1] * n
     cls = 0
     for x in range(n):

@@ -1,23 +1,21 @@
 """Finite topological spaces: components, quasi-components, pi0, products.
 
-Open sets are stored as bitmasks over range(points).  A finite topology is
-determined by the minimal open neighbourhood N(x) of each point (the
-intersection of the opens containing x); a set W is open exactly when
-N(x) <= W for every x in W.  Components are computed as the connected
-components of the comparability graph of the specialization preorder
-(x ~ y iff x in cl{y} or y in cl{x}); the tests justify this against a
-naive oracle that searches for two-block clopen partitions.
+A finite topology is determined by the minimal open neighbourhood N(x) of
+each point, the intersection of the opens containing x (Alexandroff 1937;
+Stong 1966), and N is the one stored form: a FinSpace holds one bitmask over
+range(points) per point.  A set W is open exactly when N(x) <= W for every
+x in W, so the opens are the unions of the N(x); they are listed only on
+request (``FinSpace.opens``), for output and for the reference checks in
+oracles.py.  Components are the connected components of the comparability
+graph of the specialization preorder (x ~ y iff y in N(x) or x in N(y)),
+found by merging the neighbourhoods that meet; the tests justify this
+against a naive oracle that searches for two-block clopen partitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-# A product space stores every one of its opens, and a product of n points
-# can have up to 2^n of them (the discrete case), so products are capped
-# here to bound the opens a product can emit.
-MAX_PRODUCT_POINTS = 20
 
 
 class TopologyError(ValueError):
@@ -42,119 +40,97 @@ def bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class FinSpace:
-    """Finite topological space; ``opens`` is a frozenset of bitmasks."""
+    """Finite topological space; ``nbhds[x]`` is the minimal open
+    neighbourhood of x, as a bitmask."""
 
     points: int
-    opens: frozenset[int]
-
-    def __init__(self, points: int, opens: Iterable[int], validate: bool = True):
-        opens = frozenset(opens)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "opens", opens)
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        if self.points < 0:
-            raise TopologyError("negative point count")
-        full = (1 << self.points) - 1
-        for o in self.opens:
-            if o & ~full:
-                raise TopologyError(f"open set {sorted(bits(o))} out of range")
-        if 0 not in self.opens or full not in self.opens:
-            raise TopologyError("opens must contain the empty set and the full set")
-        opens = sorted(self.opens)
-        for a in opens:
-            for b in opens:
-                if b > a:
-                    break
-                if (a | b) not in self.opens or (a & b) not in self.opens:
-                    raise TopologyError("opens not closed under union/intersection")
+    nbhds: tuple[int, ...]
 
     @staticmethod
-    def from_sets(points: int, open_sets: Iterable[Iterable[int]], validate: bool = True) -> "FinSpace":
-        return FinSpace(points, (mask_of(o) for o in open_sets), validate=validate)
+    def from_sets(points: int, open_sets: Iterable[Iterable[int]]) -> "FinSpace":
+        """The space whose opens are exactly ``open_sets``, which must form a
+        topology.  Range, the empty set and the full set are checked first,
+        in time linear in the input; then N(x) is the intersection of the
+        given opens containing x, and the family must equal the unions of
+        the N(x).  Each given open W is the union of the N(x) for x in W, so
+        it suffices that every union is given; the generation stops at the
+        first that is not."""
+        if points < 0:
+            raise TopologyError("negative point count")
+        family = set()
+        for o in open_sets:
+            o = tuple(o)
+            if o and not (0 <= min(o) and max(o) < points):
+                raise TopologyError(f"open set {sorted(o)} out of range for {points} points")
+            family.add(mask_of(o))
+        full = next((o for o in family if o.bit_count() == points), None)
+        if 0 not in family or full is None:
+            raise TopologyError("opens must contain the empty set and the full set")
+        nbhds = [full] * points
+        for o in family:
+            for x in bits(o):
+                nbhds[x] &= o
+        unions = {0}
+        for nx in nbhds:
+            unions |= {o | nx for o in unions}
+            if not unions <= family:
+                raise TopologyError("opens not closed under union/intersection")
+        return FinSpace(points, tuple(nbhds))
 
     @staticmethod
     def discrete(points: int) -> "FinSpace":
-        return FinSpace(points, range(1 << points), validate=False)
-
-    @staticmethod
-    def indiscrete(points: int) -> "FinSpace":
-        return FinSpace(points, {0, (1 << points) - 1}, validate=False)
+        return FinSpace(points, tuple(1 << x for x in range(points)))
 
     @property
     def full_mask(self) -> int:
         return (1 << self.points) - 1
 
+    @property
+    def opens(self) -> frozenset[int]:
+        """Every open set, as the unions of the N(x): each N(x) in turn is
+        joined to every union found so far.  A discrete space has 2^points
+        opens, so only output and the oracles list them."""
+        opens = {0}
+        for nx in self.nbhds:
+            opens |= {o | nx for o in opens}
+        return frozenset(opens)
+
     def is_open(self, mask: int) -> bool:
-        return mask in self.opens
-
-    def open_sets(self) -> list[frozenset[int]]:
-        return [frozenset(bits(o)) for o in sorted(self.opens)]
-
-    def min_nbhd(self) -> list[int]:
-        """Minimal open neighbourhood of each point, as a mask."""
-        out = []
-        for x in range(self.points):
-            n = self.full_mask
-            for o in self.opens:
-                if o & (1 << x):
-                    n &= o
-            out.append(n)
-        return out
+        return all(not self.nbhds[x] & ~mask for x in bits(mask))
 
     def clopens(self) -> list[int]:
-        full = self.full_mask
-        return sorted(o for o in self.opens if (full ^ o) in self.opens)
-
-    def __repr__(self) -> str:
-        return f"FinSpace({self.points}, {len(self.opens)} opens)"
+        """The open sets whose complement is open."""
+        opens, full = self.opens, self.full_mask
+        return sorted(o for o in opens if full ^ o in opens)
 
 
 def space_from_min_nbhds(nbhds: Sequence[int]) -> FinSpace:
     """The topology whose opens are the unions of the given minimal
-    neighbourhoods.  The assignment must satisfy y in N(x) => N(y) <= N(x).
-
-    The opens are generated, not searched for: starting from the empty set,
-    each N(x) in turn is joined to every open found so far, so the work is
-    proportional to n times the number of opens rather than to 2^n."""
-    n = len(nbhds)
-    for x in range(n):
-        if not nbhds[x] & (1 << x):
+    neighbourhoods.  The assignment must satisfy y in N(x) => N(y) <= N(x)."""
+    for x, nx in enumerate(nbhds):
+        if not nx & (1 << x):
             raise TopologyError(f"minimal neighbourhood of {x} must contain it")
-        for y in bits(nbhds[x]):
-            if nbhds[y] & ~nbhds[x]:
+        for y in bits(nx):
+            if nbhds[y] & ~nx:
                 raise TopologyError("not an Alexandrov neighbourhood assignment")
-    opens = {0}
-    for nx in nbhds:
-        opens |= {o | nx for o in opens}
-    return FinSpace(n, opens, validate=False)
+    return FinSpace(len(nbhds), tuple(nbhds))
 
 
 def components(space: FinSpace) -> tuple[int, ...]:
-    """Class index per point; classes are numbered by their smallest member."""
-    nb = space.min_nbhd()
-    n = space.points
-    adj = [0] * n
-    for x in range(n):
-        for y in bits(nb[x]):
-            adj[x] |= 1 << y
-            adj[y] |= 1 << x
-    label = [-1] * n
-    cls = 0
-    for start in range(n):
-        if label[start] != -1:
-            continue
-        stack = [start]
-        label[start] = cls
-        while stack:
-            x = stack.pop()
-            for y in bits(adj[x]):
-                if label[y] == -1:
-                    label[y] = cls
-                    stack.append(y)
-        cls += 1
+    """Class index per point; classes are numbered by their smallest member.
+
+    Every point of N(x) is comparable with x, so the classes are found by
+    merging the neighbourhoods that meet."""
+    classes: list[int] = []
+    for nx in space.nbhds:
+        for c in [c for c in classes if c & nx]:
+            classes.remove(c)
+            nx |= c
+        classes.append(nx)
+    label = [0] * space.points
+    for i, c in enumerate(sorted(classes, key=lambda c: c & -c)):
+        for x in bits(c):
+            label[x] = i
     return tuple(label)
 
 
@@ -188,30 +164,21 @@ class Pi0Result:
 
 
 def pi0(space: FinSpace) -> Pi0Result:
-    """The space of components with the quotient topology."""
+    """The space of components with the quotient topology, which is discrete
+    because the components of a finite space are clopen (the pi0-products
+    suite checks it against the quotient scan of oracles.py)."""
     label = components(space)
-    k = max(label, default=-1) + 1
-    masks = [0] * k
-    for x, c in enumerate(label):
-        masks[c] |= 1 << x
-    opens = []
-    for w in range(1 << k):
-        pre = 0
-        for c in bits(w):
-            pre |= masks[c]
-        if space.is_open(pre):
-            opens.append(w)
-    return Pi0Result(FinSpace(k, opens, validate=False), label)
+    return Pi0Result(FinSpace.discrete(max(label, default=-1) + 1), label)
 
 
 def check_continuous(f: Sequence[int], source: FinSpace, target: FinSpace) -> tuple[int, ...]:
+    """f is continuous exactly when f(N(x)) <= N(f(x)) for every point x."""
     f = tuple(f)
     if len(f) != source.points or not all(0 <= y < target.points for y in f):
         raise TopologyError(f"{f!r} is not a map {source} -> {target}")
-    for o in target.opens:
-        pre = mask_of(x for x in range(source.points) if o & (1 << f[x]))
-        if not source.is_open(pre):
-            raise TopologyError(f"preimage of {sorted(bits(o))} is not open; map not continuous")
+    for x, nx in enumerate(source.nbhds):
+        if mask_of(f[y] for y in bits(nx)) & ~target.nbhds[f[x]]:
+            raise TopologyError(f"image of N({x}) is not inside N({f[x]}); map not continuous")
     return f
 
 
@@ -277,19 +244,10 @@ def pair_index(x: int, y: int, y_points: int) -> int:
 
 def product_space(a: FinSpace, b: FinSpace) -> FinSpace:
     """Product topology, via minimal neighbourhoods N((x,y)) = N(x) x N(y)."""
-    n = a.points * b.points
-    if n > MAX_PRODUCT_POINTS:
-        raise TopologyError(f"product with {n} points is too large to materialize")
-    na, nb = a.min_nbhd(), b.min_nbhd()
-    nbhds = []
-    for x in range(a.points):
-        for y in range(b.points):
-            m = 0
-            for xx in bits(na[x]):
-                for yy in bits(nb[y]):
-                    m |= 1 << pair_index(xx, yy, b.points)
-            nbhds.append(m)
-    return space_from_min_nbhds(nbhds)
+    # the row of (xx, y') for y' in N(y) is N(y) shifted by pair_index(xx, 0)
+    return space_from_min_nbhds(
+        [sum(ny << pair_index(xx, 0, b.points) for xx in bits(nx)) for nx in a.nbhds for ny in b.nbhds]
+    )
 
 
 @dataclass(frozen=True)
@@ -316,10 +274,10 @@ def gamma_compare(a: FinSpace, b: FinSpace) -> ProductComparison:
                 return ProductComparison(pp, right, tuple(mapping), False, False)
             mapping[c] = t
     bij = len(set(mapping)) == len(mapping) == right.points and -1 not in mapping
-    homeo = bij
-    if bij:
-        transported = frozenset(mask_of(mapping[c] for c in bits(o)) for o in pp.space.opens)
-        homeo = transported == right.opens
+    # a bijection is a homeomorphism when it carries each N(c) onto N(mapping[c])
+    homeo = bij and all(
+        mask_of(mapping[d] for d in bits(nc)) == right.nbhds[mapping[c]] for c, nc in enumerate(pp.space.nbhds)
+    )
     return ProductComparison(pp, right, tuple(mapping), bij, homeo)
 
 
@@ -378,9 +336,6 @@ def iter_min_nbhd_assignments(n: int) -> Iterator[tuple[int, ...]]:
 
 def iter_topologies(n: int) -> Iterator[FinSpace]:
     """All topologies on n labeled points (1, 1, 4, 29, 355, 6942, ... spaces)."""
-    if n == 0:
-        yield FinSpace(0, [0], validate=False)
-        return
     for nbhds in iter_min_nbhd_assignments(n):
         yield space_from_min_nbhds(nbhds)
 
@@ -390,18 +345,16 @@ def parse_space_json(obj) -> FinSpace:
     if not isinstance(obj, dict) or set(obj) != {"points", "opens"}:
         raise TopologyError(f'expected {{"points": n, "opens": [...]}}, got {obj!r}')
     points = obj["points"]
-    if not isinstance(points, int) or points < 0:
+    if type(points) is not int or points < 0:  # JSON true and false are not counts
         raise TopologyError(f"bad point count {points!r}")
     opens = obj["opens"]
-    if not isinstance(opens, list) or not all(
-        isinstance(o, list) and all(isinstance(p, int) for p in o) for o in opens
-    ):
+    if not isinstance(opens, list) or not all(isinstance(o, list) and all(type(p) is int for p in o) for o in opens):
         raise TopologyError("opens must be a list of lists of point indices")
-    return FinSpace.from_sets(points, opens, validate=True)
+    return FinSpace.from_sets(points, opens)
 
 
 def space_to_json(space: FinSpace) -> dict:
     return {
         "points": space.points,
-        "opens": [sorted(bits(o)) for o in sorted(space.opens)],
+        "opens": [list(bits(o)) for o in sorted(space.opens)],
     }

@@ -38,6 +38,7 @@ from .oracles import (
     components_bruteforce,
     hom_graph,
     iter_finite_algebras,
+    quotient_bruteforce,
 )
 from .pierce import (
     boolean_skeleton,
@@ -54,10 +55,15 @@ from .topology import (
     e_map,
     gamma_compare,
     iter_topologies,
+    parse_space_json,
+    pi0,
+    product_space,
     quasi_components,
+    space_to_json,
 )
 
 EXHAUSTIVE_SPLIT_BOUND = 20000  # pairing bijectivity by exhaustion up to this carrier size
+SAMPLED_PRODUCT_POINTS = 20  # pi0-products samples only products this small (its pinned sample count)
 
 
 @dataclass
@@ -315,19 +321,25 @@ def check_product_split(size: int = 100, seed: int = 0) -> CriterionReport:
 
 
 def check_pi0_products(size: int = 4, seed: int = 0, sample: int = 24) -> CriterionReport:
-    """components = quasi-components = brute force, the clopen-membership map
-    separates exactly the quasi-components (n <= 5 exhaustively), and the
-    product comparison gamma is a homeomorphism (exhaustive pairs up to 3
-    points; seeded sample at ``size`` points)."""
+    """The listed opens parse back to the space, components = quasi-components
+    = brute force, pi0 carries the quotient topology of the oracle scan, the
+    clopen-membership map separates exactly the quasi-components (n <= 5
+    exhaustively), and the product comparison gamma is a homeomorphism
+    (exhaustive pairs up to 3 points, whose products' pi0 is also checked
+    against the quotient scan; seeded sample at ``size`` points)."""
     size = min(size, 6)  # exhaustive topology catalogs explode beyond this
     spaces_checked = 0
     for n in range(6):
         for space in iter_topologies(n):
+            if parse_space_json(space_to_json(space)) != space:
+                return _fail("pi0-products", f"the opens of {space} do not parse back to it")
             comp = components(space)
             if comp != quasi_components(space):
                 return _fail("pi0-products", f"components != quasi-components on {space}")
             if n <= 4 and comp != components_bruteforce(space):
                 return _fail("pi0-products", f"components disagree with brute force on {space}")
+            if pi0(space).space != quotient_bruteforce(space, comp):
+                return _fail("pi0-products", f"pi0 is not the quotient topology on {space}")
             em = e_map(space)
             for x in range(n):
                 for y in range(n):
@@ -340,8 +352,11 @@ def check_pi0_products(size: int = 4, seed: int = 0, sample: int = 24) -> Criter
     pairs = 0
     for a in small:
         for b in small:
-            if not gamma_compare(a, b).is_homeomorphism:
+            report = gamma_compare(a, b)
+            if not report.is_homeomorphism:
                 return _fail("pi0-products", f"gamma not a homeomorphism for {a} x {b}")
+            if report.left.space != quotient_bruteforce(product_space(a, b), report.left.class_of):
+                return _fail("pi0-products", f"pi0 is not the quotient topology on {a} x {b}")
             pairs += 1
     rng = random.Random(seed)
     four = list(iter_topologies(size))
@@ -350,7 +365,7 @@ def check_pi0_products(size: int = 4, seed: int = 0, sample: int = 24) -> Criter
         for _ in range(sample):
             a = rng.choice(four)
             b = rng.choice(small + four[:40])
-            if a.points * b.points > 20:
+            if a.points * b.points > SAMPLED_PRODUCT_POINTS:
                 continue
             if not gamma_compare(a, b).is_homeomorphism:
                 return _fail("pi0-products", f"gamma not a homeomorphism for {a} x {b}")

@@ -10,7 +10,6 @@ from mvalg import (
     FiniteMV,
     Hom,
     Ideal,
-    apply_operation,
     enumerate_homs,
     is_boolean,
     join,
@@ -55,15 +54,6 @@ class TestOperations:
         x, y = A23.element(["1/2", 0]), A23.element([0, "2/3"])
         assert join(A23, x, y) == A23.element(["1/2", "2/3"])
         assert meet(A23, x, y) == A23.zero()
-
-    def test_apply_operation_dispatch_and_aliases(self):
-        x = L6.element(["1/2"])
-        assert apply_operation("+", [x, x], L6) == apply_operation("oplus", [x, x], L6)
-        assert apply_operation("!", [x], L6) == (frac("1/2"),)
-
-    def test_apply_operation_arity_mismatch(self):
-        with pytest.raises(AlgebraError):
-            apply_operation("neg", [L6.zero(), L6.zero()], L6)
 
     def test_element_algebra_mismatch(self):
         with pytest.raises(AlgebraError):

@@ -3,12 +3,13 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from mvalg import FiniteMV, INF, RationalAlgebra, SimplicialGroup
-from mvalg.cli import main
+from mvalg.cli import MAX_LISTED_COMPONENTS, main
 from mvalg.formats import (
     FormatError,
     algebra_to_json,
@@ -219,14 +220,29 @@ class TestErrorHandling:
             ["eval", "--alg", '{"finite":[2]}', "--term", "!" * 5000 + "x", "--env", '{"x":"1/2"}'],
             ["eval", "--alg", '{"finite":[2]}', "--term", "(" * 100 + "x" + ")" * 100, "--env", '{"x":"1/2"}'],
             ["eval", "--alg", '{"finite":[2]}', "--term", "x + " * 3000 + "x", "--env", '{"x":"1/2"}'],
+            ["pi0", "--space", '{"points":2,"opens":[[],[-1],[0,1]]}'],
+            ["pi0", "--space", '{"points":2,"opens":[[],[true],[0,1]]}'],
+            ["pi0", "--space", '{"points":true,"opens":[[],[0]]}'],
+            ["spec", "--alg", json.dumps({"finite": [1] * (MAX_LISTED_COMPONENTS + 1)})],
+            ["pierce", "--alg", json.dumps({"finite": [1] * (MAX_LISTED_COMPONENTS + 1)})],
         ],
         ids=["all-a-string", "decimal", "exponent", "leading-space",
-             "1000-negations", "5000-negations", "100-parentheses", "3000-sums"],
+             "1000-negations", "5000-negations", "100-parentheses", "3000-sums",
+             "negative-point", "boolean-point", "boolean-point-count",
+             "spec-over-budget", "pierce-over-budget"],
     )
     def test_malformed_wire_input_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_huge_point_count_is_rejected_at_once(self, capsys):
+        # the missing full set is found from the input alone, before any
+        # mask over the 10^9 points is built
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "pi0", "--space", '{"points":1000000000,"opens":[[]]}')
+        assert code == 2 and out == "" and "full set" in err
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDeterminism:

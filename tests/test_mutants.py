@@ -41,12 +41,21 @@ def combine_selecting_c0_where_x_is_one(split, c0, c1):
     return tuple(a if e == ONE else b for a, b, e in zip(c0, c1, split.element))
 
 
-def opens_without_the_last_neighbourhood(nbhds):
-    """The union generation of the opens, skipping the last N(x)."""
+@property
+def opens_without_the_last_neighbourhood(space):
+    """FinSpace.opens generating the unions of all N(x) but the last."""
     opens = {0}
-    for nx in nbhds[:-1]:
+    for nx in space.nbhds[:-1]:
         opens |= {o | nx for o in opens}
-    return topology.FinSpace(len(nbhds), opens, validate=False)
+    return frozenset(opens)
+
+
+def product_neighbourhoods_with_a_single_y(a, b):
+    """product_space with N((x,y)) = N(x) x {y} instead of N(x) x N(y)."""
+    return topology.space_from_min_nbhds(
+        [sum(1 << topology.pair_index(xx, y, b.points) for xx in topology.bits(nx))
+         for nx in a.nbhds for y in range(b.points)]
+    )
 
 
 MUTANTS = [
@@ -60,8 +69,12 @@ MUTANTS = [
         ProductSplit, "combine", combine_selecting_c0_where_x_is_one, "product-split", 6, id="combine-swapped"
     ),
     pytest.param(
-        topology, "space_from_min_nbhds", opens_without_the_last_neighbourhood, "pi0-products", 4,
+        topology.FinSpace, "opens", opens_without_the_last_neighbourhood, "pi0-products", 4,
         id="opens-without-last-neighbourhood",
+    ),
+    pytest.param(
+        topology, "product_space", product_neighbourhoods_with_a_single_y, "pi0-products", 4,
+        id="product-neighbourhood-single-y",
     ),
 ]
 

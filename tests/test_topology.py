@@ -16,9 +16,16 @@ from mvalg import (
     product_space,
     quasi_components,
 )
-from mvalg.oracles import components_bruteforce
+from mvalg.oracles import (
+    components_bruteforce,
+    is_continuous_by_preimages,
+    is_topology_pairwise,
+    quotient_bruteforce,
+)
 from mvalg.topology import (
     FiniteBoolean,
+    bits,
+    check_continuous,
     iter_min_nbhd_assignments,
     iter_topologies,
     space_from_min_nbhds,
@@ -37,18 +44,48 @@ class TestFinSpace:
         with pytest.raises(TopologyError):
             FinSpace.from_sets(3, [[], [0], [1], [0, 1, 2]])  # missing {0,1}
 
+    def test_validation_rejects_intersection_gap(self):
+        with pytest.raises(TopologyError):
+            FinSpace.from_sets(3, [[], [0, 1], [1, 2], [0, 1, 2]])  # missing {1}
+
     def test_validation_rejects_out_of_range(self):
         with pytest.raises(TopologyError):
             FinSpace.from_sets(2, [[], [5], [0, 1]])
+        with pytest.raises(TopologyError):
+            FinSpace.from_sets(2, [[], [-1], [0, 1]])
 
-    def test_discrete_and_indiscrete(self):
+    def test_discrete_stores_singletons(self):
+        assert FinSpace.discrete(3).nbhds == (0b001, 0b010, 0b100)
         assert len(FinSpace.discrete(3).opens) == 8
-        assert len(FinSpace.indiscrete(3).opens) == 2
 
     def test_empty_space(self):
-        empty = FinSpace(0, [0])
+        empty = FinSpace.from_sets(0, [[]])
+        assert empty == next(iter_topologies(0))
         assert components(empty) == ()
         assert pi0(empty).class_count == 0
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_validator_agrees_with_the_pairwise_definition(self, n):
+        # every family of subsets of n points: 2, 4, 16, 256 and 65,536 families
+        subsets = range(1 << n)
+        accepted = 0
+        for family in range(1 << (1 << n)):
+            opens = [w for w in subsets if family >> w & 1]
+            try:
+                space = FinSpace.from_sets(n, [list(bits(w)) for w in opens])
+            except TopologyError:
+                assert not is_topology_pairwise(n, opens)
+                continue
+            assert is_topology_pairwise(n, opens)
+            assert space.opens == frozenset(opens)
+            accepted += 1
+        assert accepted == [1, 1, 4, 29, 355][n]
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_is_open_is_membership_in_the_opens(self, n):
+        for space in iter_topologies(n):
+            opens = space.opens
+            assert [space.is_open(w) for w in range(1 << n)] == [w in opens for w in range(1 << n)]
 
     def test_json_round_trip(self):
         from mvalg.topology import parse_space_json
@@ -69,7 +106,7 @@ class TestOpensFromNeighbourhoods:
         count = 0
         for nbhds, space in zip(iter_min_nbhd_assignments(n), iter_topologies(n), strict=True):
             assert space.opens == _opens_by_subset_scan(nbhds)
-            assert space.min_nbhd() == list(nbhds)
+            assert space.nbhds == nbhds
             count += 1
         assert count == [1, 1, 4, 29, 355, 6942][n]
 
@@ -145,6 +182,23 @@ class TestPi0:
         step2 = pi0_map(g, y, z)
         assert left == tuple(step2[c] for c in step1)
 
+    def test_continuity_agrees_with_the_preimage_definition(self):
+        from itertools import product as iproduct
+
+        small = [s for n in range(4) for s in iter_topologies(n)]
+        continuous = 0
+        for x in small:
+            for y in small:
+                for f in iproduct(range(y.points), repeat=x.points):
+                    try:
+                        check_continuous(f, x, y)
+                    except TopologyError:
+                        assert not is_continuous_by_preimages(f, x, y)
+                        continue
+                    assert is_continuous_by_preimages(f, x, y)
+                    continuous += 1
+        assert 0 < continuous
+
     def test_rejects_non_continuous(self):
         with pytest.raises(TopologyError):
             pi0_map((1, 0), SIERPINSKI, SIERPINSKI)  # swaps closed and open points
@@ -152,8 +206,6 @@ class TestPi0:
     def test_continuous_maps_preserve_component_relation(self):
         import random
         from itertools import product as iproduct
-
-        from mvalg.topology import check_continuous
 
         small = [s for n in range(4) for s in iter_topologies(n)]
         rng = random.Random(3)
@@ -195,8 +247,9 @@ class TestEMap:
             for space in iter_topologies(n):
                 em = e_map(space)
                 assert em.is_bijective
-                quotient = pi0(space).space
-                assert quotient == FinSpace.discrete(quotient.points)
+                result = pi0(space)
+                quotient = quotient_bruteforce(space, result.class_of)
+                assert quotient == result.space == FinSpace.discrete(quotient.points)
 
 
 class TestProducts:
@@ -220,9 +273,13 @@ class TestProducts:
             for b in spaces:
                 assert gamma_compare(a, b).is_homeomorphism
 
-    def test_size_guard(self):
-        with pytest.raises(TopologyError):
-            product_space(FinSpace.discrete(5), FinSpace.discrete(5))
+    def test_products_beyond_twenty_points(self):
+        # N((x,y)) = N(x) x N(y) lists no opens, so no point cap is needed
+        p = product_space(FinSpace.discrete(5), SIERPINSKI)
+        assert p.points == 10 and components(p) == (0, 0, 1, 1, 2, 2, 3, 3, 4, 4)
+        big = product_space(FinSpace.discrete(8), FinSpace.discrete(8))
+        assert big.nbhds == FinSpace.discrete(64).nbhds
+        assert gamma_compare(FinSpace.discrete(6), FinSpace.discrete(5)).is_homeomorphism
 
 
 class TestBooleanSide:
