@@ -119,8 +119,10 @@ class FiniteMV:
 # integer numerators and denominators.  Validation happens once, at a public
 # entry: the public operations below, Hom.__call__, ProductSplit.pair and
 # ProductSplit.combine check their arguments and then call the underscored
-# versions, which do not.  Closure loops and exhaustive sweeps call the
-# underscored versions directly.
+# versions (_neg, _oplus, ..., Hom._apply, ProductSplit._combine), which do
+# not.  Closure loops and exhaustive sweeps call the underscored versions
+# directly: the verification suites validate each swept element once and
+# then stay on the unchecked kernel.
 
 
 def _neg(x: Element) -> Element:
@@ -336,8 +338,10 @@ class ProductSplit:
         """The element c with q0 c = q0 c0 and q1 c = q1 c1: c1's coordinate
         where x = 1 and c0's elsewhere, the closed form of
         c = (c0 /\\ not x) \\/ (c1 /\\ x)."""
-        c0 = self.ambient.check(c0)
-        c1 = self.ambient.check(c1)
+        return self._combine(self.ambient.check(c0), self.ambient.check(c1))
+
+    def _combine(self, c0: Element, c1: Element) -> Element:
+        """combine on arguments already known to lie in the ambient algebra."""
         c = list(c0)
         for i in self.q1.component_map:  # exactly the components where x = 1
             c[i] = c1[i]

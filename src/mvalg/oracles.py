@@ -67,12 +67,19 @@ def op_tables(algebra: FiniteMV) -> tuple[tuple[Element, ...], tuple[int, ...], 
     return elems, neg_t, plus_t
 
 
+@lru_cache(maxsize=512)
+def element_index(algebra: FiniteMV) -> dict[Element, int]:
+    """Element -> its index in op_tables(algebra); cached and shared, so
+    read only."""
+    return {e: i for i, e in enumerate(op_tables(algebra)[0])}
+
+
 def hom_graph(h: Hom) -> tuple[int, ...]:
-    """A hom as a function table: image index per source element index."""
-    elems_s, _, _ = op_tables(h.source)
-    elems_t = op_tables(h.target)[0]
-    index_t = {e: i for i, e in enumerate(elems_t)}
-    return tuple(index_t[h(x)] for x in elems_s)
+    """A hom as a function table: image index per source element index.  The
+    lookup is the membership test: an image outside the target carrier
+    raises KeyError."""
+    index_t = element_index(h.target)
+    return tuple(index_t[h._apply(x)] for x in op_tables(h.source)[0])
 
 
 def brute_force_hom_graphs(source: FiniteMV, target: FiniteMV) -> set[tuple[int, ...]]:
@@ -87,9 +94,13 @@ def brute_force_hom_graphs(source: FiniteMV, target: FiniteMV) -> set[tuple[int,
     zero_t = elems_t.index(target.zero())
 
     f = [-1] * n_s
+    assigned: list[int] = []  # the indices with f[i] != -1, in assignment order
     results: set[tuple[int, ...]] = set()
 
     def assign(i: int, v: int, trail: list[int]) -> bool:
+        """Set f[i] = v and propagate every equation this forces.  An
+        equation whose two sides are both assigned is decided on the spot;
+        only those with an unassigned side are pushed."""
         stack = [(i, v)]
         while stack:
             i, v = stack.pop()
@@ -100,18 +111,34 @@ def brute_force_hom_graphs(source: FiniteMV, target: FiniteMV) -> set[tuple[int,
                 continue
             f[i] = v
             trail.append(i)
-            stack.append((neg_s[i], neg_t[v]))
+            assigned.append(i)
+            s, t = neg_s[i], neg_t[v]
+            cur = f[s]
+            if cur == -1:
+                stack.append((s, t))
+            elif cur != t:
+                return False
             row_s, row_t = plus_s[i], plus_t[v]
-            for j in range(n_s):
+            for j in assigned:  # i itself included: the equation for i + i
                 w = f[j]
-                if w != -1:
-                    stack.append((row_s[j], row_t[w]))
-                    stack.append((plus_s[j][i], plus_t[w][v]))
+                s, t = row_s[j], row_t[w]
+                cur = f[s]
+                if cur == -1:
+                    stack.append((s, t))
+                elif cur != t:
+                    return False
+                s, t = plus_s[j][i], plus_t[w][v]
+                cur = f[s]
+                if cur == -1:
+                    stack.append((s, t))
+                elif cur != t:
+                    return False
         return True
 
     def undo(trail: list[int]) -> None:
         for i in trail:
             f[i] = -1
+        del assigned[len(assigned) - len(trail):]
 
     def search() -> None:
         try:

@@ -65,11 +65,6 @@ class SpectrumPoint:
     def ideal(self) -> Ideal:
         return Ideal(self.ambient, [self.index])
 
-    def residue(self, a: Element) -> Fraction:
-        """The image of a in the totally ordered quotient at this prime."""
-        self.ambient.check(a)
-        return a[self.index]
-
     def __repr__(self) -> str:
         return f"SpectrumPoint({self.index} of {list(self.ambient.orders)})"
 
@@ -134,9 +129,10 @@ def chinese_boolean(algebra: FiniteMV, zero_part: Iterable, one_part: Iterable) 
 
 
 def is_boolean_via_primes(algebra: FiniteMV, a: Element) -> bool:
-    """The prime-residue criterion: Boolean iff every residue a/p is 0 or 1."""
+    """The prime-residue criterion: Boolean iff every residue a/p, the image
+    a[p.index] of a in the chain A/p, is 0 or 1."""
     algebra.check(a)
-    return all(p.residue(a) in (ZERO, ONE) for p in spectrum(algebra))
+    return all(a[p.index] in (ZERO, ONE) for p in spectrum(algebra))
 
 
 @dataclass(frozen=True)
@@ -186,4 +182,4 @@ def holder_embed(algebra: FiniteMV) -> RationalAlgebra:
 def gelfand_transform(algebra: FiniteMV, a: Element) -> dict[SpectrumPoint, Fraction]:
     """The coordinate table of a over the spectrum: p_i -> residue a_i."""
     algebra.check(a)
-    return {p: p.residue(a) for p in spectrum(algebra)}
+    return {p: a[p.index] for p in spectrum(algebra)}

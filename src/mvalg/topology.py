@@ -107,13 +107,16 @@ class FinSpace:
 def space_from_min_nbhds(nbhds: Sequence[int]) -> FinSpace:
     """The topology whose opens are the unions of the given minimal
     neighbourhoods.  The assignment must satisfy y in N(x) => N(y) <= N(x)."""
+    n = len(nbhds)
     for x, nx in enumerate(nbhds):
+        if not 0 <= nx < 1 << n:
+            raise TopologyError(f"minimal neighbourhood of {x} is not a subset of the {n} points")
         if not nx & (1 << x):
             raise TopologyError(f"minimal neighbourhood of {x} must contain it")
         for y in bits(nx):
             if nbhds[y] & ~nx:
                 raise TopologyError("not an Alexandrov neighbourhood assignment")
-    return FinSpace(len(nbhds), tuple(nbhds))
+    return FinSpace(n, tuple(nbhds))
 
 
 def components(space: FinSpace) -> tuple[int, ...]:

@@ -295,18 +295,25 @@ def check_product_split(size: int = 100, seed: int = 0) -> CriterionReport:
             split = product_split(a, x)
             if len(split.part0.orders) + len(split.part1.orders) != a.num_components:
                 return _fail("product-split", f"split of {a} at {x} not complementary")
-            images = {split.pair(e) for e in elems}
-            if len(images) != len(elems):
+            q0, q1 = split.q0._apply, split.q1._apply
+            paired = [split.pair(e) for e in elems]  # the one validation of each element
+            if len(set(paired)) != len(elems):
                 return _fail("product-split", f"pairing not injective for x={x} in {a}")
+            lifts1 = [(y1, lift(a, split.q1.component_map, y1)) for y1 in split.part1.elements()]
             for y0 in split.part0.elements():
-                for y1 in split.part1.elements():
-                    c = split.combine(lift(a, split.q0.component_map, y0), lift(a, split.q1.component_map, y1))
-                    if split.q0(c) != y0 or split.q1(c) != y1:
+                l0 = lift(a, split.q0.component_map, y0)
+                for y1, l1 in lifts1:
+                    c = split._combine(l0, l1)
+                    if not a.contains(c):
+                        return _fail("product-split", f"combine left the algebra for x={x} in {a}")
+                    if q0(c) != y0 or q1(c) != y1:
                         return _fail("product-split", f"combine not a section for x={x} in {a}")
             if len(elems) <= REPRESENTATIVE_PAIR_BOUND:
-                for c0, c1 in iproduct(elems, elems):
-                    c = split.combine(c0, c1)
-                    if split.q0(c) != split.q0(c0) or split.q1(c) != split.q1(c1):
+                for (c0, (y0, _)), (c1, (_, y1)) in iproduct(zip(elems, paired), repeat=2):
+                    c = split._combine(c0, c1)
+                    if not a.contains(c):
+                        return _fail("product-split", f"combine left the algebra for x={x} in {a}")
+                    if q0(c) != y0 or q1(c) != y1:
                         return _fail("product-split", f"combine depends on representatives for x={x} in {a}")
             booleans += 1
     return CriterionReport(

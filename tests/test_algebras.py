@@ -27,6 +27,7 @@ from mvalg.oracles import (
     brute_force_hom_graphs,
     hom_graph,
     iter_finite_algebras,
+    op_tables,
 )
 
 L2 = FiniteMV([2])
@@ -220,6 +221,24 @@ class TestHoms:
     def test_agrees_with_bruteforce(self, orders_a, orders_b):
         a, b = FiniteMV(orders_a), FiniteMV(orders_b)
         assert {hom_graph(h) for h in enumerate_homs(a, b)} == brute_force_hom_graphs(a, b)
+
+    def test_pruned_search_equals_the_full_function_scan(self):
+        """Every function table between carriers of at most 5 elements,
+        kept when it preserves 0, ! and + on every ordered pair."""
+        catalog = list(iter_finite_algebras(max_size=5))
+        for a, b in product(catalog, repeat=2):
+            elems_s, neg_s, plus_s = op_tables(a)
+            elems_t, neg_t, plus_t = op_tables(b)
+            n = len(elems_s)
+            zero_s, zero_t = elems_s.index(a.zero()), elems_t.index(b.zero())
+            scanned = {
+                f
+                for f in product(range(len(elems_t)), repeat=n)
+                if f[zero_s] == zero_t
+                and all(f[neg_s[i]] == neg_t[f[i]] for i in range(n))
+                and all(f[plus_s[i][j]] == plus_t[f[i]][f[j]] for i in range(n) for j in range(n))
+            }
+            assert scanned == brute_force_hom_graphs(a, b), (a, b)
 
 
 class TestProduct:

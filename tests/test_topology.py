@@ -116,6 +116,11 @@ class TestOpensFromNeighbourhoods:
         with pytest.raises(TopologyError):
             space_from_min_nbhds([0b10, 0b10])  # N(0) must contain 0
 
+    @pytest.mark.parametrize("nbhds", [[0b101], [0b01, 0b110], [-1]])
+    def test_rejects_a_neighbourhood_outside_the_points(self, nbhds):
+        with pytest.raises(TopologyError):
+            space_from_min_nbhds(nbhds)
+
 
 class TestComponents:
     def test_discrete_three_singletons(self):
