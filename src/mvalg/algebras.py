@@ -14,11 +14,12 @@ checked against a brute-force function search (see oracles / tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import prod
 from typing import Iterable, Iterator
+
+from .records import Record
 
 Element = tuple[Fraction, ...]
 
@@ -30,10 +31,24 @@ class AlgebraError(ValueError):
     """Element/algebra mismatch or malformed algebraic input."""
 
 
-@dataclass(frozen=True)
-class FiniteMV:
+# The term errors live here, beside AlgebraError, so that the command line
+# catches them without importing the term parser; terms re-exports them.
+
+
+class TermError(ValueError):
+    """Evaluation error: unbound variable or constant outside the algebra."""
+
+
+class ParseError(TermError):
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
+class FiniteMV(Record):
     """A finite product of finite chains, given by their denominators."""
 
+    __slots__ = ("orders",)
     orders: tuple[int, ...]
 
     def __init__(self, orders: Iterable[int] = ()):
@@ -179,13 +194,13 @@ def leq(x: Element, y: Element) -> bool:
 # -- homomorphisms -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Hom:
+class Hom(Record):
     """Homomorphism stored dually: component_map[j] is the source component
     feeding target component j; the source chain order must divide the target
     one.  The action copies that coordinate (values are unchanged; only the
     admissible denominator grows)."""
 
+    __slots__ = ("source", "target", "component_map")
     source: FiniteMV
     target: FiniteMV
     component_map: tuple[int, ...]
@@ -255,12 +270,12 @@ def product_algebra(a: FiniteMV, b: FiniteMV) -> tuple[FiniteMV, Hom, Hom]:
     return p, pr0, pr1
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Record):
     """Ideal of a finite product of chains: the elements vanishing on a fixed
     set of components.  (Every ideal of such an algebra has this shape; the
     tests justify this against the naive all-subsets enumeration.)"""
 
+    __slots__ = ("ambient", "vanishing")
     ambient: FiniteMV
     vanishing: frozenset[int]
 
@@ -317,12 +332,12 @@ def localize(algebra: FiniteMV, x: Element) -> tuple[FiniteMV, Hom]:
     return quotient_by_ideal(algebra, Ideal.principal(algebra, _neg(x)))
 
 
-@dataclass(frozen=True)
-class ProductSplit:
+class ProductSplit(Record):
     """The two quotients induced by a Boolean element x, exhibiting the
     ambient algebra as the product of the part where x = 0 (q0, which inverts
     not-x) and the part where x = 1 (q1, which inverts x)."""
 
+    __slots__ = ("ambient", "element", "part0", "q0", "part1", "q1")
     ambient: FiniteMV
     element: Element
     part0: FiniteMV

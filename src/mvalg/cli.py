@@ -13,14 +13,7 @@ import argparse
 import json
 import sys
 
-from .algebras import AlgebraError, FiniteMV, is_boolean
-from .coproducts import (
-    coproduct_finite,
-    coproduct_rational,
-    is_separable,
-    is_subterminal_epic,
-    separability_witness,
-)
+from .algebras import AlgebraError, FiniteMV, TermError, is_boolean
 from .formats import (
     FormatError,
     algebra_to_json,
@@ -30,23 +23,17 @@ from .formats import (
     parse_algebra,
     parse_element,
     parse_env,
+    parse_fraction,
     parse_space_json,
     space_to_json,
 )
-from .lgroups import SimplicialGroup, gamma, xi
-from .pierce import (
-    boolean_skeleton,
-    decompose,
-    is_simple,
-    spectrum,
-    spectrum_space,
-    support,
-    vanishing_locus,
-)
+from .lgroups import SimplicialGroup
 from .rationals import RationalAlgebra
-from .terms import TermError, eval_term, order_rank, parse_term
-from .topology import TopologyError, pi0
-from .verify import CRITERIA, run_criterion
+from .topology import TopologyError
+
+# Each handler imports the modules that compute its answer, so a process
+# loads only what its command runs: formats and the algebra types above at
+# start-up, terms only for eval and rank, verify and oracles only for verify.
 
 USER_ERRORS = (FormatError, AlgebraError, TermError, TopologyError, json.JSONDecodeError)
 
@@ -69,6 +56,8 @@ def _finite(args) -> FiniteMV:
 
 
 def cmd_eval(args) -> dict:
+    from .terms import eval_term, parse_term
+
     algebra = _finite(args)
     if args.term is None:
         raise FormatError("missing required --term")
@@ -86,6 +75,8 @@ def _listable(algebra: FiniteMV) -> FiniteMV:
 
 
 def cmd_decompose(args) -> dict:
+    from .pierce import decompose
+
     algebra = _finite(args)
     dec = decompose(algebra)
     return {
@@ -97,6 +88,8 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_pierce(args) -> dict:
+    from .pierce import boolean_skeleton
+
     algebra = _listable(_finite(args))
     skel = boolean_skeleton(algebra)
     return {
@@ -108,6 +101,8 @@ def cmd_pierce(args) -> dict:
 
 
 def cmd_coproduct(args) -> dict:
+    from .coproducts import coproduct_finite, coproduct_rational
+
     if not args.alg or len(args.alg) != 2:
         raise FormatError("coproduct needs --alg twice (the two summands)")
     a = parse_algebra(json.loads(args.alg[0]))
@@ -132,6 +127,8 @@ def cmd_coproduct(args) -> dict:
 
 
 def cmd_separable(args) -> dict:
+    from .coproducts import is_separable, separability_witness
+
     algebra = parse_algebra(_load(args.alg[0] if args.alg else None, "--alg"))
     if isinstance(algebra, SimplicialGroup):
         raise FormatError("separable expects a finite, rational, or product algebra")
@@ -149,6 +146,8 @@ def cmd_separable(args) -> dict:
 
 
 def cmd_subterminal(args) -> dict:
+    from .coproducts import is_subterminal_epic
+
     algebra = parse_algebra(_load(args.alg[0] if args.alg else None, "--alg"))
     if not isinstance(algebra, (FiniteMV, RationalAlgebra)):
         raise FormatError("subterminal expects a finite or rational algebra")
@@ -156,6 +155,8 @@ def cmd_subterminal(args) -> dict:
 
 
 def cmd_spec(args) -> dict:
+    from .pierce import is_simple, spectrum, spectrum_space, support, vanishing_locus
+
     algebra = _listable(_finite(args))
     out = {
         "algebra": algebra_to_json(algebra),
@@ -173,6 +174,8 @@ def cmd_spec(args) -> dict:
 
 
 def cmd_rank(args) -> dict:
+    from .terms import order_rank
+
     algebra = parse_algebra(_load(args.alg[0] if args.alg else None, "--alg"))
     if isinstance(algebra, SimplicialGroup):
         raise FormatError("rank expects a finite, rational, or product algebra")
@@ -180,8 +183,6 @@ def cmd_rank(args) -> dict:
     if isinstance(algebra, FiniteMV):
         elem = parse_element(algebra, raw)
     else:
-        from .formats import parse_fraction
-
         coords = raw if isinstance(raw, list) else [raw]
         elem = tuple(parse_fraction(c) for c in coords)
         if isinstance(algebra, RationalAlgebra) and len(coords) == 1:
@@ -197,6 +198,8 @@ def cmd_rank(args) -> dict:
 
 
 def cmd_pi0(args) -> dict:
+    from .topology import pi0
+
     space = parse_space_json(_load(args.space, "--space"))
     result = pi0(space)
     return {
@@ -208,6 +211,8 @@ def cmd_pi0(args) -> dict:
 
 
 def cmd_gamma(args) -> dict:
+    from .lgroups import gamma, xi
+
     algebra = parse_algebra(_load(args.alg[0] if args.alg else None, "--alg"))
     if isinstance(algebra, SimplicialGroup):
         finite = gamma(algebra)
@@ -227,6 +232,8 @@ def cmd_gamma(args) -> dict:
 
 
 def cmd_verify(args) -> tuple[int, dict]:
+    from .verify import CRITERIA, run_criterion
+
     names = list(CRITERIA) if args.all or not args.criteria else args.criteria
     for name in names:
         if name not in CRITERIA:

@@ -16,7 +16,6 @@ e is their indicator, given in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
 
@@ -33,14 +32,15 @@ from .algebras import (
 )
 from .pierce import boolean_skeleton, chi, decompose, holder_embed
 from .rationals import RationalAlgebra
+from .records import Record
 from .topology import FiniteBoolean, ba_coproduct
 
 
-@dataclass(frozen=True)
-class CoproductResult:
+class CoproductResult(Record):
     """A + B with its injections; the codiagonal is present when the two
     summands coincide.  ``grid[t]`` is the (i, j) pair behind component t."""
 
+    __slots__ = ("algebra", "in0", "in1", "codiagonal", "grid")
     algebra: FiniteMV
     in0: Hom
     in1: Hom
@@ -80,11 +80,11 @@ def is_subterminal_epic(algebra: FiniteMV | RationalAlgebra) -> bool:
     return cop.in0 == cop.in1
 
 
-@dataclass(frozen=True)
-class SeparabilityCertificate:
+class SeparabilityCertificate(Record):
     """Either a Boolean witness e in A+A with ker(codiagonal) = <not e>,
     together with the split it induces, or a refutation reason."""
 
+    __slots__ = ("algebra", "coproduct", "witness", "split", "refutation")
     algebra: FiniteMV
     coproduct: CoproductResult
     witness: Element | None
@@ -113,8 +113,8 @@ def separability_witness(algebra: FiniteMV) -> SeparabilityCertificate:
     )
 
 
-@dataclass(frozen=True)
-class SeparabilityResult:
+class SeparabilityResult(Record):
+    __slots__ = ("separable", "factors")
     separable: bool
     factors: tuple[RationalAlgebra, ...]
 
@@ -138,11 +138,11 @@ def is_separable(
     return SeparabilityResult(True, factors)
 
 
-@dataclass(frozen=True)
-class PierceCoproductReport:
+class PierceCoproductReport(Record):
     """Comparison of the Boolean part of A+B with the Boolean coproduct of
     the parts, through the canonical map on atoms."""
 
+    __slots__ = ("passed", "atoms_left", "atoms_right", "atoms_coproduct", "detail")
     passed: bool
     atoms_left: int
     atoms_right: int

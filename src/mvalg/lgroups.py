@@ -10,14 +10,14 @@ algebras.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .algebras import AlgebraError, FiniteMV
+from .records import Record
 
 
-@dataclass(frozen=True)
-class SimplicialGroup:
+class SimplicialGroup(Record):
+    __slots__ = ("unit",)
     unit: tuple[int, ...]
 
     def __init__(self, unit: Iterable[int]):

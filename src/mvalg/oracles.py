@@ -55,23 +55,23 @@ def iter_finite_algebras(
 
 
 @lru_cache(maxsize=512)
+def element_index(algebra: FiniteMV) -> dict[Element, int]:
+    """Element -> its index in enumeration order, the indexing of
+    op_tables(algebra); cached and shared, so read only."""
+    return {e: i for i, e in enumerate(algebra.elements())}
+
+
+@lru_cache(maxsize=512)
 def op_tables(algebra: FiniteMV) -> tuple[tuple[Element, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """(elements, negation table, addition table) with elements indexed in
     enumeration order."""
-    elems = tuple(algebra.elements())
-    index = {e: i for i, e in enumerate(elems)}
+    index = element_index(algebra)
+    elems = tuple(index)
     neg_t = tuple(index[_neg(e)] for e in elems)
     plus_t = tuple(
         tuple(index[_oplus(a, b)] for b in elems) for a in elems
     )
     return elems, neg_t, plus_t
-
-
-@lru_cache(maxsize=512)
-def element_index(algebra: FiniteMV) -> dict[Element, int]:
-    """Element -> its index in op_tables(algebra); cached and shared, so
-    read only."""
-    return {e: i for i, e in enumerate(op_tables(algebra)[0])}
 
 
 def hom_graph(h: Hom) -> tuple[int, ...]:

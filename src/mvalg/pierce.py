@@ -10,7 +10,6 @@ the prime-residue criterion re-derives independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterable, Iterator
@@ -26,14 +25,15 @@ from .algebras import (
     is_boolean,
 )
 from .rationals import RationalAlgebra
+from .records import Record
 from .topology import FinSpace
 
 
-@dataclass(frozen=True)
-class BooleanSkeleton:
+class BooleanSkeleton(Record):
     """The largest Boolean subalgebra: all 0/1 coordinate vectors, a powerset
     algebra on one atom per component."""
 
+    __slots__ = ("ambient",)
     ambient: FiniteMV
 
     @property
@@ -55,12 +55,16 @@ def boolean_skeleton(algebra: FiniteMV) -> BooleanSkeleton:
     return BooleanSkeleton(algebra)
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
+class SpectrumPoint(Record):
     """The prime (= maximal) ideal {a : a_i = 0} of component i."""
 
+    __slots__ = ("ambient", "index")
     ambient: FiniteMV
     index: int
+
+    def __init__(self, ambient: FiniteMV, index: int):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "index", index)
 
     def ideal(self) -> Ideal:
         return Ideal(self.ambient, [self.index])
@@ -129,14 +133,15 @@ def chinese_boolean(algebra: FiniteMV, zero_part: Iterable, one_part: Iterable) 
 
 
 def is_boolean_via_primes(algebra: FiniteMV, a: Element) -> bool:
-    """The prime-residue criterion: Boolean iff every residue a/p, the image
-    a[p.index] of a in the chain A/p, is 0 or 1."""
+    """The prime-residue criterion: Boolean iff every residue a/p is 0 or 1.
+    The primes are the coordinate kernels, so the residue at the prime of
+    component i is the image a[i] of a in the chain A/p."""
     algebra.check(a)
-    return all(a[p.index] in (ZERO, ONE) for p in spectrum(algebra))
+    return all(a[i] in (ZERO, ONE) for i in range(algebra.num_components))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
+    __slots__ = ("factors", "projections")
     factors: tuple[FiniteMV, ...]
     projections: tuple[Hom, ...]
 

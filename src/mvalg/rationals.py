@@ -9,11 +9,11 @@ specification is the whole rational interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .algebras import AlgebraError
+from .records import Record
 
 INF = float("inf")
 
@@ -34,14 +34,14 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class RationalAlgebra:
+class RationalAlgebra(Record):
     """Denominator specification: (prime, exponent cap) pairs plus an
     all-primes-infinite flag.  p/q (lowest terms) is a member iff every prime
     power in q stays within its cap."""
 
+    __slots__ = ("exponents", "all_infinite")
     exponents: tuple[tuple[int, int | float], ...]
-    all_infinite: bool = False
+    all_infinite: bool
 
     def __init__(self, exponents: Mapping[int, int | float] | None = None, all_infinite: bool = False):
         if all_infinite:

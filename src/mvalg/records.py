@@ -1,0 +1,81 @@
+"""The immutable record base shared by mvalg's value classes.
+
+A subclass lists its fields in ``__slots__``; the fields of a subclass of a
+subclass follow its parent's.  Every record
+
+* is built positionally, ``FinSpace(points, nbhds)``, by the generic
+  ``__init__`` below or by a hand-written one that sets its fields with
+  ``object.__setattr__`` (the constructors called once per swept item write
+  their own, which is faster than the generic loop);
+* compares equal only to a record of the same class with equal fields (a
+  different class gives ``NotImplemented``);
+* hashes as ``hash(tuple(fields))``, so sets and dicts of records iterate in
+  the same order as the tuples of their fields would;
+* prints as ``ClassName(field=value, ...)`` unless it defines its own
+  ``__repr__``;
+* raises AttributeError on assignment or deletion.
+
+A class that needs a per-instance cache adds ``"__dict__"`` to its slots;
+a class that defines ``__eq__`` without ``__hash__`` is unhashable, as for
+any Python class.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+def _values_getter(fields: tuple[str, ...]):
+    """The function record -> tuple of its field values."""
+    if len(fields) > 1:
+        return attrgetter(*fields)
+    if fields:
+        get = attrgetter(fields[0])
+        return lambda record: (get(record),)
+    return lambda record: ()
+
+
+class Record:
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__slots__" not in cls.__dict__:  # it would get a __dict__ and no fields
+            raise TypeError(f"record class {cls.__name__} must declare __slots__")
+        own = tuple(name for name in cls.__dict__["__slots__"] if name != "__dict__")
+        cls._fields = cls._fields + own
+        cls._values = staticmethod(_values_getter(cls._fields))
+        # the slots' own setters, which bypass the __setattr__ below
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes {len(setters)} fields, got {len(values)}")
+        for setter, value in zip(setters, values):
+            setter(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the positional constructor
+        return type(self), self._values(self)

@@ -25,19 +25,20 @@ recurses that far, so evaluation and printing never meet a deeper tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
 from math import lcm, prod
 from typing import Iterable, Mapping
 
-from .algebras import (
+from .algebras import (  # TermError and ParseError are re-exported
     ZERO,
     ONE,
     AlgebraError,
     Element,
     FiniteMV,
+    ParseError,
+    TermError,
     _join,
     _meet,
     _neg,
@@ -45,73 +46,77 @@ from .algebras import (
     _oplus,
 )
 from .rationals import RationalAlgebra
-
-
-class TermError(ValueError):
-    """Evaluation error: unbound variable or constant outside the algebra."""
-
-
-class ParseError(TermError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
+from .records import Record
 
 # -- syntax trees ---------------------------------------------------------------
+#
+# The parser builds one node per leaf and operator, so each node class sets
+# its fields in its own __init__ rather than through the generic one.
 
 
-@dataclass(frozen=True)
-class Term:
-    pass
+class Term(Record):
+    __slots__ = ()
+
+    def __init__(self):
+        pass
 
 
-@dataclass(frozen=True)
 class Zero(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class One(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(Term):
+    __slots__ = ("value",)
     value: Fraction
 
+    def __init__(self, value: Fraction):
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
+
 class Var(Term):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
-@dataclass(frozen=True)
+
 class Neg(Term):
+    __slots__ = ("arg",)
     arg: Term
 
+    def __init__(self, arg: Term):
+        object.__setattr__(self, "arg", arg)
 
-@dataclass(frozen=True)
-class Oplus(Term):
+
+class _BinaryTerm(Term):
+    __slots__ = ("left", "right")
     left: Term
     right: Term
 
-
-@dataclass(frozen=True)
-class Odot(Term):
-    left: Term
-    right: Term
+    def __init__(self, left: Term, right: Term):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Meet(Term):
-    left: Term
-    right: Term
+class Oplus(_BinaryTerm):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Join(Term):
-    left: Term
-    right: Term
+class Odot(_BinaryTerm):
+    __slots__ = ()
+
+
+class Meet(_BinaryTerm):
+    __slots__ = ()
+
+
+class Join(_BinaryTerm):
+    __slots__ = ()
 
 
 _BINARY = {Join: ("v", 0), Meet: ("^", 1), Oplus: ("+", 2), Odot: ("*", 3)}
@@ -332,14 +337,16 @@ def eval_term(term: Term, env: Mapping[str, Element], algebra: FiniteMV) -> Elem
 # -- generated subalgebras and order-rank ----------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Subalgebra:
+class Subalgebra(Record):
     """The subalgebra generated by a set G, in closed form: ``blocks[b]``
     lists the components whose generator columns ``(g[i] for g in G)`` are
     equal, and the block carries the chain of order ``orders[b]``, the lcm
     of the denominators in its column.  The subalgebra is the product of
-    those chains, each copied onto the components of its block."""
+    those chains, each copied onto the components of its block.  Equal
+    generated subalgebras compare equal whatever their generators; the
+    element set is computed once, on first use (hence the ``__dict__``)."""
 
+    __slots__ = ("ambient", "generators", "blocks", "orders", "__dict__")
     ambient: FiniteMV
     generators: tuple[Element, ...]
     blocks: tuple[tuple[int, ...], ...]
@@ -391,12 +398,12 @@ def generated_subalgebra(algebra: FiniteMV, generators: Iterable[Element]) -> Su
     return Subalgebra(algebra, gens, blocks, orders)
 
 
-@dataclass(frozen=True)
-class OrderRank:
+class OrderRank(Record):
     """Order-rank of an element: the number of non-terminal indecomposable
     factors of the subalgebra it generates (0 only over the terminal algebra),
     together with the factors' chain orders."""
 
+    __slots__ = ("rank", "chain_orders", "subalgebra")
     rank: int
     chain_orders: tuple[int, ...]
     subalgebra: Subalgebra

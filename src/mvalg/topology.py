@@ -14,8 +14,9 @@ against a naive oracle that searches for two-block clopen partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+from .records import Record
 
 
 class TopologyError(ValueError):
@@ -38,13 +39,17 @@ def bits(mask: int) -> Iterator[int]:
         i += 1
 
 
-@dataclass(frozen=True)
-class FinSpace:
+class FinSpace(Record):
     """Finite topological space; ``nbhds[x]`` is the minimal open
     neighbourhood of x, as a bitmask."""
 
+    __slots__ = ("points", "nbhds")
     points: int
     nbhds: tuple[int, ...]
+
+    def __init__(self, points: int, nbhds: tuple[int, ...]):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "nbhds", nbhds)
 
     @staticmethod
     def from_sets(points: int, open_sets: Iterable[Iterable[int]]) -> "FinSpace":
@@ -156,8 +161,8 @@ def quasi_components(space: FinSpace) -> tuple[int, ...]:
     return tuple(label)
 
 
-@dataclass(frozen=True)
-class Pi0Result:
+class Pi0Result(Record):
+    __slots__ = ("space", "class_of")
     space: FinSpace
     class_of: tuple[int, ...]
 
@@ -198,8 +203,7 @@ def pi0_map(f: Sequence[int], source: FinSpace, target: FinSpace) -> tuple[int, 
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EMapResult:
+class EMapResult(Record):
     """The clopen-membership embedding E and its comparison with pi0.
 
     ``table[x]`` is x's membership vector over ``clopens`` (sorted masks);
@@ -207,6 +211,7 @@ class EMapResult:
     two-point spaces, hence discrete); ``comparison[c]`` is the image point of
     component class c."""
 
+    __slots__ = ("clopens", "table", "image", "comparison")
     clopens: tuple[int, ...]
     table: tuple[tuple[int, ...], ...]
     image: FinSpace
@@ -253,10 +258,10 @@ def product_space(a: FinSpace, b: FinSpace) -> FinSpace:
     )
 
 
-@dataclass(frozen=True)
-class ProductComparison:
+class ProductComparison(Record):
     """gamma: pi0(X x Y) -> pi0(X) x pi0(Y), with the homeomorphism verdict."""
 
+    __slots__ = ("left", "right", "mapping", "is_bijective", "is_homeomorphism")
     left: Pi0Result
     right: FinSpace
     mapping: tuple[int, ...]
@@ -284,11 +289,11 @@ def gamma_compare(a: FinSpace, b: FinSpace) -> ProductComparison:
     return ProductComparison(pp, right, tuple(mapping), bij, homeo)
 
 
-@dataclass(frozen=True)
-class FiniteBoolean:
+class FiniteBoolean(Record):
     """Finite Boolean algebra, recorded by its atom count (carrier: subsets
     of the atoms; dual to the discrete space on the atoms)."""
 
+    __slots__ = ("atom_count",)
     atom_count: int
 
     @property

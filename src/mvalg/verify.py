@@ -236,7 +236,8 @@ def check_subterminal(size: int = 8, seed: int = 0) -> CriterionReport:
 def check_vanishing_locus(size: int = 8, seed: int = 0) -> CriterionReport:
     """phi and chi are mutually inverse (component sweeps up to ``size``
     components), and the prime-residue Boolean criterion matches the
-    equational one for every element of every algebra with carrier <= 200."""
+    equational one for every element of every algebra with carrier at most
+    25 * ``size`` (200 at the default size)."""
     sweep = list(iter_finite_algebras(max_components=size, max_order=2))
     sweep += list(iter_finite_algebras(max_components=min(size, 4), max_order=3))
     sweep += [FiniteMV([5, 7, 9]), FiniteMV([2, 3, 4, 5, 6])]
@@ -255,7 +256,8 @@ def check_vanishing_locus(size: int = 8, seed: int = 0) -> CriterionReport:
             if chi(a, locus) != b_elem:
                 return _fail("vanishing-locus", f"chi(phi(b)) != id on {a}")
     elements = 0
-    for a in iter_finite_algebras(max_size=200):
+    carrier = 25 * size
+    for a in iter_finite_algebras(max_size=carrier):
         for x in a.elements():
             if is_boolean_via_primes(a, x) != is_boolean(a, x):
                 return _fail("vanishing-locus", f"prime criterion disagrees on {x} in {a}")
@@ -263,7 +265,7 @@ def check_vanishing_locus(size: int = 8, seed: int = 0) -> CriterionReport:
     return CriterionReport(
         "vanishing-locus",
         True,
-        f"phi/chi inverse on {pairs} clopens (<= {size} components); prime criterion on {elements} elements (|A| <= 200)",
+        f"phi/chi inverse on {pairs} clopens (<= {size} components); prime criterion on {elements} elements (|A| <= {carrier})",
         {"clopens": pairs, "elements": elements},
     )
 

@@ -52,7 +52,15 @@ def test_criterion_05_subterminal_chains():
 
 def test_criterion_06_vanishing_locus_and_prime_criterion():
     report = _run("vanishing-locus")
-    assert report.stats["elements"] > 0
+    assert report.stats["elements"] == 103_922  # every element of every carrier <= 200
+
+
+def test_vanishing_locus_prime_sweep_scales_with_size():
+    from mvalg.oracles import iter_finite_algebras
+
+    report = run_criterion("vanishing-locus", size=2)
+    assert report.passed
+    assert report.stats["elements"] == sum(a.size for a in iter_finite_algebras(max_size=50))
 
 
 def test_criterion_07_product_splitting():
