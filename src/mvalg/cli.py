@@ -232,12 +232,14 @@ def cmd_gamma(args) -> dict:
 
 
 def cmd_verify(args) -> tuple[int, dict]:
-    from .verify import CRITERIA, run_criterion
+    from .verify import CRITERIA, run_criterion, suite_size
 
     names = list(CRITERIA) if args.all or not args.criteria else args.criteria
-    for name in names:
-        if name not in CRITERIA:
-            raise FormatError(f"unknown criterion {name!r}; known: {', '.join(CRITERIA)}")
+    for name in names:  # every name and size is checked before the first suite runs
+        try:
+            suite_size(name, args.max_size)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
     reports = [run_criterion(name, size=args.max_size, seed=args.seed) for name in names]
     payload = {
         "seed": args.seed,
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = add("verify")
     v.add_argument("criteria", nargs="*", help="criterion names (default: all)")
     v.add_argument("--all", action="store_true", help="run every criterion")
-    v.add_argument("--max-size", type=int, default=None, help="override the primary sweep bound")
+    v.add_argument("--max-size", type=int, default=None, help="primary sweep bound, 1..each suite's maximum")
     v.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
     return parser
 

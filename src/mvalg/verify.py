@@ -2,10 +2,14 @@
 tests.
 
 Each criterion sweeps a finite catalog and checks a structural property
-against an independent reference computation.  ``size`` rescales the primary
-sweep bound (the defaults are the ones the acceptance tests pin); ``seed``
-only affects criteria that sample an otherwise impractical catalog, and the
-default makes every run reproducible bit for bit.
+against an independent reference computation.  A suite is a function
+``(size, seed) -> (summary, stats)`` that raises ``Violation`` at its first
+counterexample; ``run_criterion`` is the one place that times a suite and
+turns its outcome into a ``CriterionReport``.  ``size`` rescales the primary
+sweep bound and must lie in ``1..maximum`` from ``CRITERIA`` (the defaults
+there are the ones the acceptance tests pin); ``seed`` only affects criteria
+that sample an otherwise impractical catalog, and the default makes every run
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd
@@ -49,6 +52,7 @@ from .pierce import (
     phi,
 )
 from .rationals import RationalAlgebra
+from .records import Record
 from .terms import generated_subalgebra, order_rank
 from .topology import (
     components,
@@ -63,30 +67,26 @@ from .topology import (
 )
 
 EXHAUSTIVE_SPLIT_BOUND = 20000  # pairing bijectivity by exhaustion up to this carrier size
-SAMPLED_PRODUCT_POINTS = 20  # pi0-products samples only products this small (its pinned sample count)
+SAMPLED_PAIR_DRAWS = 24  # pi0-products draws this many product pairs from its seed
+SAMPLED_PRODUCT_POINTS = 20  # and checks only the drawn products this small
 
 
-@dataclass
-class CriterionReport:
-    name: str
-    passed: bool
-    summary: str
-    stats: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+class Violation(Exception):
+    """A counterexample found by a suite; its message is the FAIL summary."""
+
+
+class CriterionReport(Record):
+    __slots__ = ("name", "passed", "summary", "stats", "elapsed")
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         return f"{verdict} {self.name}: {self.summary} ({self.elapsed:.1f}s)"
 
 
-def _fail(name: str, summary: str, **stats) -> CriterionReport:
-    return CriterionReport(name, False, summary, stats)
-
-
 # -- 1: hom enumeration against the function-table search ------------------------
 
 
-def check_hom_oracle(size: int = 30, seed: int = 0) -> CriterionReport:
+def check_hom_oracle(size: int, seed: int) -> tuple[str, dict]:
     """Dual-map hom enumeration equals brute-force function search for all
     pairs of algebras with carrier size <= ``size``."""
     catalog = list(iter_finite_algebras(max_size=size))
@@ -96,24 +96,17 @@ def check_hom_oracle(size: int = 30, seed: int = 0) -> CriterionReport:
             expected = brute_force_hom_graphs(a, b)
             got = {hom_graph(h) for h in enumerate_homs(a, b)}
             if got != expected:
-                return _fail(
-                    "hom-oracle",
-                    f"mismatch for {a} -> {b}: {len(got)} enumerated vs {len(expected)} brute force",
-                )
+                raise Violation(f"mismatch for {a} -> {b}: {len(got)} enumerated vs {len(expected)} brute force")
             pairs += 1
             homs += len(got)
-    return CriterionReport(
-        "hom-oracle",
-        True,
-        f"{pairs} algebra pairs (|A|,|B| <= {size}), {homs} homs, enumeration = function search",
-        {"pairs": pairs, "homs": homs, "algebras": len(catalog)},
-    )
+    summary = f"{pairs} algebra pairs (|A|,|B| <= {size}), {homs} homs, enumeration = function search"
+    return summary, {"pairs": pairs, "homs": homs, "algebras": len(catalog)}
 
 
 # -- 2: coproduct universal property ---------------------------------------------
 
 
-def check_coproduct_universal(size: int = 6, seed: int = 0) -> CriterionReport:
+def check_coproduct_universal(size: int, seed: int) -> tuple[str, dict]:
     """Precomposition with (in0, in1) is a bijection
     Hom(A+B, C) -> Hom(A, C) x Hom(B, C) over the stated sweep."""
     summands = list(iter_finite_algebras(max_components=2, max_order=size))
@@ -130,7 +123,7 @@ def check_coproduct_universal(size: int = 6, seed: int = 0) -> CriterionReport:
                         h.compose(cop.in1).component_map,
                     )
                     if key in pairs:
-                        return _fail("coproduct-universal", f"pairing not injective for {a}+{b} -> {c}")
+                        raise Violation(f"pairing not injective for {a}+{b} -> {c}")
                     pairs.add(key)
                 expected = {
                     (f.component_map, g.component_map)
@@ -138,20 +131,16 @@ def check_coproduct_universal(size: int = 6, seed: int = 0) -> CriterionReport:
                     for g in enumerate_homs(b, c)
                 }
                 if pairs != expected:
-                    return _fail("coproduct-universal", f"pairing not surjective for {a}+{b} -> {c}")
+                    raise Violation(f"pairing not surjective for {a}+{b} -> {c}")
                 triples += 1
-    return CriterionReport(
-        "coproduct-universal",
-        True,
-        f"{triples} triples (summands orders <= {size}, targets <= {2 * size}), pairing bijective",
-        {"triples": triples},
-    )
+    summary = f"{triples} triples (summands orders <= {size}, targets <= {2 * size}), pairing bijective"
+    return summary, {"triples": triples}
 
 
 # -- 3: Boolean part of coproducts -------------------------------------------------
 
 
-def check_pierce_coproducts(size: int = 4, seed: int = 0) -> CriterionReport:
+def check_pierce_coproducts(size: int, seed: int) -> tuple[str, dict]:
     """The Boolean part of A+B is the Boolean coproduct of the parts: atom
     counts multiply and the canonical map is an isomorphism."""
     catalog = list(iter_finite_algebras(max_components=3, max_order=size))
@@ -160,20 +149,16 @@ def check_pierce_coproducts(size: int = 4, seed: int = 0) -> CriterionReport:
         for b in catalog:
             report = pierce_coproduct_check(a, b)
             if not report.passed or report.atoms_coproduct != a.num_components * b.num_components:
-                return _fail("pierce-coproducts", f"failed for {a}, {b}: {report.detail}")
+                raise Violation(f"failed for {a}, {b}: {report.detail}")
             pairs += 1
-    return CriterionReport(
-        "pierce-coproducts",
-        True,
-        f"{pairs} pairs (<= 3 components, orders <= {size}), atom counts multiply",
-        {"pairs": pairs},
-    )
+    summary = f"{pairs} pairs (<= 3 components, orders <= {size}), atom counts multiply"
+    return summary, {"pairs": pairs}
 
 
 # -- 4: separability structure -----------------------------------------------------
 
 
-def check_separability(size: int = 4, seed: int = 0) -> CriterionReport:
+def check_separability(size: int, seed: int) -> tuple[str, dict]:
     """The witness and chain decomposition agree: every algebra in the sweep
     gets a Boolean complement of the codiagonal kernel whose split is a
     product decomposition, and decompose + embed produces matching rational
@@ -183,57 +168,49 @@ def check_separability(size: int = 4, seed: int = 0) -> CriterionReport:
     for a in catalog:
         cert = separability_witness(a)
         if not cert.separable:
-            return _fail("separability", f"no witness for {a}: {cert.refutation}")
+            raise Violation(f"no witness for {a}: {cert.refutation}")
         split = cert.split
         kept0 = sorted(split.q0.component_map)
         kept1 = sorted(split.q1.component_map)
         k = cert.coproduct.algebra.num_components
         if sorted(kept0 + kept1) != list(range(k)):
-            return _fail("separability", f"witness split of {a} is not complementary")
+            raise Violation(f"witness split of {a} is not complementary")
         if split.part1.orders != a.orders:
-            return _fail("separability", f"codiagonal leg of {a} is not the algebra itself")
+            raise Violation(f"codiagonal leg of {a} is not the algebra itself")
         if cert.coproduct.algebra.size <= EXHAUSTIVE_SPLIT_BOUND:
             seen = set()
             for x in cert.coproduct.algebra.elements():
                 seen.add(split.pair(x))
             if len(seen) != cert.coproduct.algebra.size:
-                return _fail("separability", f"witness split of {a} is not bijective")
+                raise Violation(f"witness split of {a} is not bijective")
         result = is_separable(a)
         factor_orders = sorted(f.chain_order() for f in result.factors)
         if not result.separable or factor_orders != sorted(a.orders):
-            return _fail("separability", f"decomposition route disagrees for {a}")
+            raise Violation(f"decomposition route disagrees for {a}")
         dec = decompose(a)
         for f in dec.factors:
             holder_embed(f)  # must exist: every factor is simple
         checked += 1
-    return CriterionReport(
-        "separability",
-        True,
-        f"{checked} algebras (<= 3 components, orders <= {size}): witness and decomposition agree",
-        {"algebras": checked},
-    )
+    summary = f"{checked} algebras (<= 3 components, orders <= {size}): witness and decomposition agree"
+    return summary, {"algebras": checked}
 
 
 # -- 5: subterminality = single chain ----------------------------------------------
 
 
-def check_subterminal(size: int = 8, seed: int = 0) -> CriterionReport:
+def check_subterminal(size: int, seed: int) -> tuple[str, dict]:
     catalog = list(iter_finite_algebras(max_components=3, max_order=size))
     for a in catalog:
         if is_subterminal_epic(a) != (a.num_components == 1):
-            return _fail("subterminal", f"misclassified {a}")
-    return CriterionReport(
-        "subterminal",
-        True,
-        f"{len(catalog)} algebras (<= 3 components, orders <= {size}): epic-injections = single chain",
-        {"algebras": len(catalog)},
-    )
+            raise Violation(f"misclassified {a}")
+    summary = f"{len(catalog)} algebras (<= 3 components, orders <= {size}): epic-injections = single chain"
+    return summary, {"algebras": len(catalog)}
 
 
 # -- 6: vanishing-locus isomorphism and the prime criterion -------------------------
 
 
-def check_vanishing_locus(size: int = 8, seed: int = 0) -> CriterionReport:
+def check_vanishing_locus(size: int, seed: int) -> tuple[str, dict]:
     """phi and chi are mutually inverse (component sweeps up to ``size``
     components), and the prime-residue Boolean criterion matches the
     equational one for every element of every algebra with carrier at most
@@ -249,25 +226,21 @@ def check_vanishing_locus(size: int = 8, seed: int = 0) -> CriterionReport:
             elem = chi(a, x0)
             back = frozenset(p.index for p in phi(a, elem))
             if back != x0:
-                return _fail("vanishing-locus", f"phi(chi({sorted(x0)})) != id on {a}")
+                raise Violation(f"phi(chi({sorted(x0)})) != id on {a}")
             pairs += 1
         for b_elem in boolean_skeleton(a).elements():
             locus = frozenset(p.index for p in phi(a, b_elem))
             if chi(a, locus) != b_elem:
-                return _fail("vanishing-locus", f"chi(phi(b)) != id on {a}")
+                raise Violation(f"chi(phi(b)) != id on {a}")
     elements = 0
     carrier = 25 * size
     for a in iter_finite_algebras(max_size=carrier):
         for x in a.elements():
             if is_boolean_via_primes(a, x) != is_boolean(a, x):
-                return _fail("vanishing-locus", f"prime criterion disagrees on {x} in {a}")
+                raise Violation(f"prime criterion disagrees on {x} in {a}")
             elements += 1
-    return CriterionReport(
-        "vanishing-locus",
-        True,
-        f"phi/chi inverse on {pairs} clopens (<= {size} components); prime criterion on {elements} elements (|A| <= {carrier})",
-        {"clopens": pairs, "elements": elements},
-    )
+    summary = f"phi/chi inverse on {pairs} clopens (<= {size} components); prime criterion on {elements} elements (|A| <= {carrier})"
+    return summary, {"clopens": pairs, "elements": elements}
 
 
 # -- 7: product splitting -----------------------------------------------------------
@@ -276,7 +249,7 @@ def check_vanishing_locus(size: int = 8, seed: int = 0) -> CriterionReport:
 REPRESENTATIVE_PAIR_BOUND = 36  # full A x A representative sweep up to this carrier size
 
 
-def check_product_split(size: int = 100, seed: int = 0) -> CriterionReport:
+def check_product_split(size: int, seed: int) -> tuple[str, dict]:
     """For every Boolean x, the pairing (q0, q1) is a bijection and combine
     is a section of it.  Injectivity and the section property over the full
     quotient product are exhaustive for every algebra in the sweep; that
@@ -296,66 +269,61 @@ def check_product_split(size: int = 100, seed: int = 0) -> CriterionReport:
         for x in boolean_skeleton(a).elements():
             split = product_split(a, x)
             if len(split.part0.orders) + len(split.part1.orders) != a.num_components:
-                return _fail("product-split", f"split of {a} at {x} not complementary")
+                raise Violation(f"split of {a} at {x} not complementary")
             q0, q1 = split.q0._apply, split.q1._apply
             paired = [split.pair(e) for e in elems]  # the one validation of each element
             if len(set(paired)) != len(elems):
-                return _fail("product-split", f"pairing not injective for x={x} in {a}")
+                raise Violation(f"pairing not injective for x={x} in {a}")
             lifts1 = [(y1, lift(a, split.q1.component_map, y1)) for y1 in split.part1.elements()]
             for y0 in split.part0.elements():
                 l0 = lift(a, split.q0.component_map, y0)
                 for y1, l1 in lifts1:
                     c = split._combine(l0, l1)
                     if not a.contains(c):
-                        return _fail("product-split", f"combine left the algebra for x={x} in {a}")
+                        raise Violation(f"combine left the algebra for x={x} in {a}")
                     if q0(c) != y0 or q1(c) != y1:
-                        return _fail("product-split", f"combine not a section for x={x} in {a}")
+                        raise Violation(f"combine not a section for x={x} in {a}")
             if len(elems) <= REPRESENTATIVE_PAIR_BOUND:
                 for (c0, (y0, _)), (c1, (_, y1)) in iproduct(zip(elems, paired), repeat=2):
                     c = split._combine(c0, c1)
                     if not a.contains(c):
-                        return _fail("product-split", f"combine left the algebra for x={x} in {a}")
+                        raise Violation(f"combine left the algebra for x={x} in {a}")
                     if q0(c) != y0 or q1(c) != y1:
-                        return _fail("product-split", f"combine depends on representatives for x={x} in {a}")
+                        raise Violation(f"combine depends on representatives for x={x} in {a}")
             booleans += 1
-    return CriterionReport(
-        "product-split",
-        True,
-        f"{booleans} Boolean splits over {algebras} algebras (|A| <= {size}): bijective, combine a section",
-        {"algebras": algebras, "splits": booleans},
-    )
+    summary = f"{booleans} Boolean splits over {algebras} algebras (|A| <= {size}): bijective, combine a section"
+    return summary, {"algebras": algebras, "splits": booleans}
 
 
 # -- 8: pi0 and products -------------------------------------------------------------
 
 
-def check_pi0_products(size: int = 4, seed: int = 0, sample: int = 24) -> CriterionReport:
+def check_pi0_products(size: int, seed: int) -> tuple[str, dict]:
     """The listed opens parse back to the space, components = quasi-components
     = brute force, pi0 carries the quotient topology of the oracle scan, the
     clopen-membership map separates exactly the quasi-components (n <= 5
     exhaustively), and the product comparison gamma is a homeomorphism
     (exhaustive pairs up to 3 points, whose products' pi0 is also checked
     against the quotient scan; seeded sample at ``size`` points)."""
-    size = min(size, 6)  # exhaustive topology catalogs explode beyond this
     spaces_checked = 0
     for n in range(6):
         for space in iter_topologies(n):
             if parse_space_json(space_to_json(space)) != space:
-                return _fail("pi0-products", f"the opens of {space} do not parse back to it")
+                raise Violation(f"the opens of {space} do not parse back to it")
             comp = components(space)
             if comp != quasi_components(space):
-                return _fail("pi0-products", f"components != quasi-components on {space}")
+                raise Violation(f"components != quasi-components on {space}")
             if n <= 4 and comp != components_bruteforce(space):
-                return _fail("pi0-products", f"components disagree with brute force on {space}")
+                raise Violation(f"components disagree with brute force on {space}")
             if pi0(space).space != quotient_bruteforce(space, comp):
-                return _fail("pi0-products", f"pi0 is not the quotient topology on {space}")
+                raise Violation(f"pi0 is not the quotient topology on {space}")
             em = e_map(space)
             for x in range(n):
                 for y in range(n):
                     if (em.table[x] == em.table[y]) != (comp[x] == comp[y]):
-                        return _fail("pi0-products", f"clopen-membership map wrong on {space}")
+                        raise Violation(f"clopen-membership map wrong on {space}")
             if not em.is_bijective:
-                return _fail("pi0-products", f"comparison with the image space not bijective on {space}")
+                raise Violation(f"comparison with the image space not bijective on {space}")
             spaces_checked += 1
     small = [s for n in range(4) for s in iter_topologies(n)]
     pairs = 0
@@ -363,34 +331,29 @@ def check_pi0_products(size: int = 4, seed: int = 0, sample: int = 24) -> Criter
         for b in small:
             report = gamma_compare(a, b)
             if not report.is_homeomorphism:
-                return _fail("pi0-products", f"gamma not a homeomorphism for {a} x {b}")
+                raise Violation(f"gamma not a homeomorphism for {a} x {b}")
             if report.left.space != quotient_bruteforce(product_space(a, b), report.left.class_of):
-                return _fail("pi0-products", f"pi0 is not the quotient topology on {a} x {b}")
+                raise Violation(f"pi0 is not the quotient topology on {a} x {b}")
             pairs += 1
     rng = random.Random(seed)
     four = list(iter_topologies(size))
     sampled = 0
-    if four:
-        for _ in range(sample):
-            a = rng.choice(four)
-            b = rng.choice(small + four[:40])
-            if a.points * b.points > SAMPLED_PRODUCT_POINTS:
-                continue
-            if not gamma_compare(a, b).is_homeomorphism:
-                return _fail("pi0-products", f"gamma not a homeomorphism for {a} x {b}")
-            sampled += 1
-    return CriterionReport(
-        "pi0-products",
-        True,
-        f"{spaces_checked} spaces (n <= 5) for components/E-map; gamma on {pairs} exhaustive + {sampled} sampled pairs",
-        {"spaces": spaces_checked, "pairs": pairs, "sampled": sampled},
-    )
+    for _ in range(SAMPLED_PAIR_DRAWS):
+        a = rng.choice(four)
+        b = rng.choice(small + four[:40])
+        if a.points * b.points > SAMPLED_PRODUCT_POINTS:
+            continue
+        if not gamma_compare(a, b).is_homeomorphism:
+            raise Violation(f"gamma not a homeomorphism for {a} x {b}")
+        sampled += 1
+    summary = f"{spaces_checked} spaces (n <= 5) for components/E-map; gamma on {pairs} exhaustive + {sampled} sampled pairs"
+    return summary, {"spaces": spaces_checked, "pairs": pairs, "sampled": sampled}
 
 
 # -- 9: order-rank ---------------------------------------------------------------------
 
 
-def check_order_rank(size: int = 24, seed: int = 0) -> CriterionReport:
+def check_order_rank(size: int, seed: int) -> tuple[str, dict]:
     """Every rational p/q generates the full chain of order q (rank 1), the
     closed form of Sa(x) equals the round-based closure for every element of
     the catalog, and homs preserve generation and finite order-rank."""
@@ -403,7 +366,7 @@ def check_order_rank(size: int = 24, seed: int = 0) -> CriterionReport:
             r = order_rank(full, Fraction(p, q))
             expected = {(Fraction(k, q),) for k in range(q + 1)}
             if r.rank != 1 or set(r.subalgebra.elements) != expected or r.chain_orders != (q,):
-                return _fail("order-rank", f"Sa({p}/{q}) is not the chain of order {q}")
+                raise Violation(f"Sa({p}/{q}) is not the chain of order {q}")
             singles += 1
     checked = 0
     catalog = list(iter_finite_algebras(max_components=2, max_order=4))
@@ -411,78 +374,88 @@ def check_order_rank(size: int = 24, seed: int = 0) -> CriterionReport:
         elems = list(a.elements())
         for x in elems:
             if generated_subalgebra(a, [x]).elements != closure(a, [x]):
-                return _fail("order-rank", f"closed form of Sa({x}) in {a} differs from the closure")
+                raise Violation(f"closed form of Sa({x}) in {a} differs from the closure")
         for b in catalog:
             for h in enumerate_homs(a, b):
                 for x in elems:
                     image_sub = generated_subalgebra(b, [h(x)])
                     pushed = frozenset(h(s) for s in generated_subalgebra(a, [x]).elements)
                     if pushed != image_sub.elements:
-                        return _fail("order-rank", f"h[Sa(x)] != Sa(h x) for {h}, x={x}")
+                        raise Violation(f"h[Sa(x)] != Sa(h x) for {h}, x={x}")
                     order_rank(b, h(x))  # must be defined
                     checked += 1
-    return CriterionReport(
-        "order-rank",
-        True,
-        f"rank-1 chains for all p/q with q <= {size} ({singles} cases); generation preserved along {checked} hom evaluations",
-        {"rank_one": singles, "hom_evaluations": checked},
-    )
+    summary = f"rank-1 chains for all p/q with q <= {size} ({singles} cases); generation preserved along {checked} hom evaluations"
+    return summary, {"rank_one": singles, "hom_evaluations": checked}
 
 
 # -- 10: simplicial round trip -----------------------------------------------------------
 
 
-def check_simplicial_roundtrip(size: int = 6, seed: int = 0) -> CriterionReport:
+def check_simplicial_roundtrip(size: int, seed: int) -> tuple[str, dict]:
     catalog = list(iter_finite_algebras(max_components=4, max_order=size))
     for a in catalog:
         if gamma(xi(a)) != a:
-            return _fail("simplicial-roundtrip", f"gamma(xi({a})) != {a}")
+            raise Violation(f"gamma(xi({a})) != {a}")
     groups = [xi(a) for a in catalog if a.num_components <= 2]
     for g in groups:
         if xi(gamma(g)) != g:
-            return _fail("simplicial-roundtrip", f"xi(gamma({g})) != {g}")
+            raise Violation(f"xi(gamma({g})) != {g}")
         for h in groups:
             left = gamma(product_unital(g, h))
             right = FiniteMV(gamma(g).orders + gamma(h).orders)
             if left != right:
-                return _fail("simplicial-roundtrip", f"gamma does not commute with {g} x {h}")
-    return CriterionReport(
-        "simplicial-roundtrip",
-        True,
-        f"{len(catalog)} algebras (<= 4 components, orders <= {size}): round trips and products commute",
-        {"algebras": len(catalog)},
-    )
+                raise Violation(f"gamma does not commute with {g} x {h}")
+    summary = f"{len(catalog)} algebras (<= 4 components, orders <= {size}): round trips and products commute"
+    return summary, {"algebras": len(catalog)}
 
 
+# name -> (suite, default size, maximum size).  The defaults are the bounds the
+# acceptance tests pin; a run at the maximum takes at most about ten seconds
+# (measured on 2 vCPUs, Python 3.11), one size more takes longer.
 CRITERIA = {
-    "hom-oracle": check_hom_oracle,
-    "coproduct-universal": check_coproduct_universal,
-    "pierce-coproducts": check_pierce_coproducts,
-    "separability": check_separability,
-    "subterminal": check_subterminal,
-    "vanishing-locus": check_vanishing_locus,
-    "product-split": check_product_split,
-    "pi0-products": check_pi0_products,
-    "order-rank": check_order_rank,
-    "simplicial-roundtrip": check_simplicial_roundtrip,
+    "hom-oracle": (check_hom_oracle, 30, 47),
+    "coproduct-universal": (check_coproduct_universal, 6, 12),
+    "pierce-coproducts": (check_pierce_coproducts, 4, 9),
+    "separability": (check_separability, 4, 48),
+    "subterminal": (check_subterminal, 8, 150),
+    "vanishing-locus": (check_vanishing_locus, 8, 12),
+    "product-split": (check_product_split, 100, 250),
+    "pi0-products": (check_pi0_products, 4, 6),  # 7 points have 209,527 topologies to list
+    "order-rank": (check_order_rank, 24, 240),
+    "simplicial-roundtrip": (check_simplicial_roundtrip, 6, 60),
 }
 
 
-def run_criterion(name: str, size: int | None = None, seed: int = 0) -> CriterionReport:
-    """Run one suite.  An exception the suite raises is a defect it found in
-    the code under test, so it becomes a FAIL report naming the exception
-    and where it was raised."""
+def suite_size(name: str, size: int | None) -> int:
+    """The size suite ``name`` runs at: its default for None.  Raises
+    ValueError for an unknown name or a size outside ``1..maximum``."""
     if name not in CRITERIA:
-        raise ValueError(f"unknown criterion {name!r}; known: {', '.join(sorted(CRITERIA))}")
-    fn = CRITERIA[name]
+        raise ValueError(f"unknown criterion {name!r}; known: {', '.join(CRITERIA)}")
+    _, default, maximum = CRITERIA[name]
+    if size is None:
+        return default
+    if not 1 <= size <= maximum:
+        raise ValueError(f"size {size} is outside 1..{maximum} for {name}")
+    return size
+
+
+def run_criterion(name: str, size: int | None = None, seed: int = 0) -> CriterionReport:
+    """Run one suite after checking its size (see ``suite_size``).  A
+    ``Violation`` becomes a FAIL report with its message; any other exception
+    the suite raises is a defect it found in the code under test, so it
+    becomes a FAIL report naming the exception and where it was raised."""
+    size = suite_size(name, size)
+    suite = CRITERIA[name][0]
     start = time.perf_counter()
     try:
-        report = fn(seed=seed) if size is None else fn(size, seed=seed)
+        summary, stats = suite(size, seed)
+        passed = True
+    except Violation as exc:
+        summary, stats, passed = str(exc), {}, False
     except Exception as exc:
         import traceback
 
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
-        report = _fail(name, f"{type(exc).__name__} at {where}: {exc}")
-    report.elapsed = time.perf_counter() - start
-    return report
+        summary, stats, passed = f"{type(exc).__name__} at {where}: {exc}", {}, False
+    return CriterionReport(name, passed, summary, stats, time.perf_counter() - start)

@@ -236,6 +236,43 @@ class TestErrorHandling:
         assert code == 2 and out == "" and err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, suite",
+        [
+            (["pi0-products", "--max-size", "-1"], "pi0-products"),
+            (["hom-oracle", "--max-size", "-1"], "hom-oracle"),
+            (["product-split", "--max-size", "0"], "product-split"),
+            (["coproduct-universal", "--max-size", "40"], "coproduct-universal"),
+            (["vanishing-locus", "--max-size", "16"], "vanishing-locus"),
+            (["--all", "--max-size", "7"], "pi0-products"),
+            (["subterminal", "vanishing-locus", "--max-size", "13"], "vanishing-locus"),
+        ],
+        ids=["pi0-products-negative", "hom-oracle-negative", "product-split-zero",
+             "coproduct-universal-40", "vanishing-locus-16", "all-7", "second-suite-13"],
+    )
+    def test_verify_size_out_of_range_exits_2_before_any_suite(self, capsys, argv, suite):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "" and err.startswith("error:") and suite in err
+        assert "Traceback" not in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_verify_accepts_a_suite_at_its_exact_maximum(self, capsys, monkeypatch):
+        # the subterminal sweep at its maximum takes seconds, so a stand-in
+        # suite records the size the command passes on
+        from mvalg import verify
+
+        _, default, maximum = verify.CRITERIA["subterminal"]
+        sizes = []
+
+        def suite(size, seed):
+            sizes.append(size)
+            return "stand-in", {}
+
+        monkeypatch.setitem(verify.CRITERIA, "subterminal", (suite, default, maximum))
+        code, out, _ = run_cli(capsys, "verify", "subterminal", "--max-size", str(maximum))
+        assert code == 0 and sizes == [maximum] and json.loads(out)["max_size"] == maximum
+
     def test_huge_point_count_is_rejected_at_once(self, capsys):
         # the missing full set is found from the input alone, before any
         # mask over the 10^9 points is built

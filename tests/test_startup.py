@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 import mvalg
-from mvalg import algebras, coproducts, lgroups, pierce, rationals, terms, topology
+from mvalg import algebras, coproducts, lgroups, pierce, rationals, terms, topology, verify
 from mvalg.records import Record
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -86,6 +86,7 @@ def test_command_loads_only_what_it_runs(command):
 def test_verify_loads_the_suites():
     loaded = loaded_modules(LOADED_AFTER_COMMAND, "verify", "subterminal", "--max-size", "2")
     assert loaded["code"] == 0 and {"verify", "oracles"} <= set(loaded["mvalg"])
+    assert loaded["dataclasses"] is False
 
 
 def test_malformed_term_exits_2_without_a_traceback():
@@ -177,6 +178,7 @@ RECORDS = [  # one instance of every record class, built through the library
     topology.e_map(SPACE),
     topology.gamma_compare(SPACE, SPACE),
     topology.clopen_algebra(SPACE),
+    verify.run_criterion("subterminal", size=2),
 ]
 
 
@@ -185,7 +187,7 @@ def fields(record) -> tuple:
 
 
 def test_every_record_class_is_covered():
-    modules = (algebras, coproducts, lgroups, pierce, rationals, terms, topology)
+    modules = (algebras, coproducts, lgroups, pierce, rationals, terms, topology, verify)
     classes = {
         cls for module in modules for cls in vars(module).values()
         if isinstance(cls, type) and issubclass(cls, Record) and cls.__module__ == module.__name__
@@ -203,7 +205,7 @@ def test_record_contract(record):
     assert record == twin and not record != twin
     try:
         expected = hash(fields(record))
-    except TypeError:  # a field is unhashable (OrderRank holds a Subalgebra)
+    except TypeError:  # a field is unhashable (OrderRank holds a Subalgebra, CriterionReport a dict)
         with pytest.raises(TypeError):
             hash(record)
     else:
