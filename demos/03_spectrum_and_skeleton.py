@@ -24,15 +24,15 @@ from mvalg import (
 )
 
 A = FiniteMV([2, 3])
-print("spectrum of [2,3]:", spectrum(A))
+print("spectrum of [2,3]:", spectrum(A))  # one prime per component, named by its index
 
 # vanishing locus and support of an element
 x = A.element([1, 0])
-print("V((1,0)) =", sorted(p.index for p in vanishing_locus(A, [x])))
-print("Su((1,0)) =", sorted(p.index for p in support(A, x)))
+print("V((1,0)) =", sorted(vanishing_locus(A, [x])))
+print("Su((1,0)) =", sorted(support(A, x)))
 
 # phi sends a Boolean element to its vanishing locus; chi inverts it
-print("\nphi((1,0)) =", sorted(p.index for p in phi(A, x)))
+print("\nphi((1,0)) =", sorted(phi(A, x)))
 print("chi({1})   =", chi(A, [1]))
 print("round trip:", chi(A, phi(A, x)) == x)
 
@@ -55,5 +55,5 @@ for f in dec.factors:
 
 # the transform reads an element as a table over the spectrum
 table = gelfand_transform(A, A.element(["1/2", "1/3"]))
-print("\ntransform of (1/2,1/3):", {p.index: str(v) for p, v in table.items()})
+print("\ntransform of (1/2,1/3):", {i: str(v) for i, v in table.items()})
 print("radical is zero:", radical(A).is_zero)

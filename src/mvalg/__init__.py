@@ -28,7 +28,6 @@ _EXPORTS = {
         "neg",
         "odot",
         "oplus",
-        "product_algebra",
         "product_split",
         "quotient_by_ideal",
     ),
@@ -48,7 +47,6 @@ _EXPORTS = {
     "pierce": (
         "BooleanSkeleton",
         "Decomposition",
-        "SpectrumPoint",
         "boolean_skeleton",
         "chi",
         "chinese_boolean",
@@ -56,7 +54,6 @@ _EXPORTS = {
         "gelfand_transform",
         "holder_embed",
         "is_boolean_via_primes",
-        "is_semisimple",
         "is_simple",
         "phi",
         "radical",
@@ -89,7 +86,6 @@ _EXPORTS = {
         "e_map",
         "gamma_compare",
         "pi0",
-        "pi0_map",
         "product_space",
         "quasi_components",
     ),

@@ -119,10 +119,6 @@ class FiniteMV(Record):
     def canonical(self) -> "FiniteMV":
         return FiniteMV(sorted(self.orders))
 
-    def is_isomorphic_to(self, other: "FiniteMV") -> bool:
-        # finite products of chains: isomorphism = equal order multisets
-        return sorted(self.orders) == sorted(other.orders)
-
     def __repr__(self) -> str:
         return f"FiniteMV({list(self.orders)})"
 
@@ -238,11 +234,6 @@ class Hom(Record):
             raise AlgebraError("homs not composable")
         return Hom(other.source, self.target, (other.component_map[i] for i in self.component_map))
 
-    def is_identity(self) -> bool:
-        return self.source == self.target and self.component_map == tuple(
-            range(self.source.num_components)
-        )
-
     def __repr__(self) -> str:
         return f"Hom({list(self.source.orders)}->{list(self.target.orders)}, {list(self.component_map)})"
 
@@ -260,14 +251,6 @@ def enumerate_homs(source: FiniteMV, target: FiniteMV) -> list[Hom]:
 
 
 # -- products, ideals, quotients ----------------------------------------------
-
-
-def product_algebra(a: FiniteMV, b: FiniteMV) -> tuple[FiniteMV, Hom, Hom]:
-    """Direct product with its two projections."""
-    p = FiniteMV(a.orders + b.orders)
-    pr0 = Hom(p, a, range(a.num_components))
-    pr1 = Hom(p, b, (a.num_components + j for j in range(b.num_components)))
-    return p, pr0, pr1
 
 
 class Ideal(Record):
@@ -326,10 +309,10 @@ def quotient_by_ideal(algebra: FiniteMV, ideal: Ideal) -> tuple[FiniteMV, Hom]:
 
 
 def localize(algebra: FiniteMV, x: Element) -> tuple[FiniteMV, Hom]:
-    """The quotient A -> A/<not x> for Boolean x, which inverts x."""
-    if not is_boolean(algebra, x):
-        raise AlgebraError(f"{x!r} is not Boolean in {algebra}")
-    return quotient_by_ideal(algebra, Ideal.principal(algebra, _neg(x)))
+    """The quotient A -> A/<not x> for Boolean x, which inverts x: the leg
+    of ``product_split`` where x = 1."""
+    split = product_split(algebra, x)
+    return split.part1, split.q1
 
 
 class ProductSplit(Record):
@@ -364,8 +347,13 @@ class ProductSplit(Record):
 
 
 def product_split(algebra: FiniteMV, x: Element) -> ProductSplit:
+    """The split at a Boolean x.  Its quotient A/<x> keeps the components
+    where x = 0, and A/<not x> those where x = 1."""
     if not is_boolean(algebra, x):
         raise AlgebraError(f"{x!r} is not Boolean in {algebra}")
-    part0, q0 = localize(algebra, _neg(x))
-    part1, q1 = localize(algebra, x)
-    return ProductSplit(algebra, x, part0, q0, part1, q1)
+    kept0, kept1 = [], []
+    for i, c in enumerate(x):  # every c is 0 or 1
+        (kept1 if c else kept0).append(i)
+    part0 = FiniteMV(algebra.orders[i] for i in kept0)
+    part1 = FiniteMV(algebra.orders[i] for i in kept1)
+    return ProductSplit(algebra, x, part0, Hom(algebra, part0, kept0), part1, Hom(algebra, part1, kept1))

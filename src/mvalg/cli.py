@@ -35,7 +35,7 @@ from .topology import TopologyError
 # loads only what its command runs: formats and the algebra types above at
 # start-up, terms only for eval and rank, verify and oracles only for verify.
 
-USER_ERRORS = (FormatError, AlgebraError, TermError, TopologyError, json.JSONDecodeError)
+USER_ERRORS = (FormatError, AlgebraError, TermError, TopologyError)
 
 # spec lists the 2^k opens of the discrete spectrum and pierce the 2^k
 # Boolean elements of an algebra with k components, so both refuse larger k
@@ -45,7 +45,10 @@ MAX_LISTED_COMPONENTS = 16
 def _load(text: str | None, flag: str):
     if text is None:
         raise FormatError(f"missing required {flag}")
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
+        raise FormatError(str(exc)) from None
 
 
 def _finite(args) -> FiniteMV:
@@ -105,8 +108,8 @@ def cmd_coproduct(args) -> dict:
 
     if not args.alg or len(args.alg) != 2:
         raise FormatError("coproduct needs --alg twice (the two summands)")
-    a = parse_algebra(json.loads(args.alg[0]))
-    b = parse_algebra(json.loads(args.alg[1]))
+    a = parse_algebra(_load(args.alg[0], "--alg"))
+    b = parse_algebra(_load(args.alg[1], "--alg"))
     if isinstance(a, FiniteMV) and isinstance(b, FiniteMV):
         cop = coproduct_finite(a, b)
         out = {
@@ -160,15 +163,15 @@ def cmd_spec(args) -> dict:
     algebra = _listable(_finite(args))
     out = {
         "algebra": algebra_to_json(algebra),
-        "points": [p.index for p in spectrum(algebra)],
+        "points": spectrum(algebra),
         "space": space_to_json(spectrum_space(algebra)),
         "simple": is_simple(algebra),
     }
     if args.elem:
         x = parse_element(algebra, _load(args.elem, "--elem"))
         out["element"] = element_to_json(x)
-        out["vanishing_locus"] = sorted(p.index for p in vanishing_locus(algebra, [x]))
-        out["support"] = sorted(p.index for p in support(algebra, x))
+        out["vanishing_locus"] = sorted(vanishing_locus(algebra, [x]))
+        out["support"] = sorted(support(algebra, x))
         out["boolean"] = is_boolean(algebra, x)
     return out
 

@@ -255,14 +255,6 @@ def is_topology_pairwise(points: int, opens: Iterable[int]) -> bool:
     )
 
 
-def is_continuous_by_preimages(f: tuple[int, ...], source: FinSpace, target: FinSpace) -> bool:
-    """The definition: the preimage of every open of the target is open."""
-    opens = source.opens
-    return all(
-        mask_of(x for x in range(source.points) if o >> f[x] & 1) in opens for o in target.opens
-    )
-
-
 def quotient_bruteforce(space: FinSpace, class_of: tuple[int, ...]) -> FinSpace:
     """The quotient topology on the classes: every set of classes whose union
     is open, found by scanning all 2^k sets of classes."""

@@ -2,10 +2,11 @@
 
 On finite products of chains every prime ideal is a coordinate kernel
 {a : a_i = 0}, the prime and maximal spectra coincide, and the hull-kernel
-topology is discrete; the spectrum is therefore materialized as the set of
-component indices (with the discrete space emitted for the topology module
-to consume).  Boolean elements are exactly the 0/1 coordinate vectors, which
-the prime-residue criterion re-derives independently.
+topology is discrete; a point of the spectrum is therefore its component
+index, and loci, supports and clopens are sets of indices (the discrete space
+is emitted for the topology module to consume).  Boolean elements are exactly
+the 0/1 coordinate vectors, which the prime-residue criterion re-derives
+independently.
 """
 
 from __future__ import annotations
@@ -55,26 +56,10 @@ def boolean_skeleton(algebra: FiniteMV) -> BooleanSkeleton:
     return BooleanSkeleton(algebra)
 
 
-class SpectrumPoint(Record):
-    """The prime (= maximal) ideal {a : a_i = 0} of component i."""
-
-    __slots__ = ("ambient", "index")
-    ambient: FiniteMV
-    index: int
-
-    def __init__(self, ambient: FiniteMV, index: int):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "index", index)
-
-    def ideal(self) -> Ideal:
-        return Ideal(self.ambient, [self.index])
-
-    def __repr__(self) -> str:
-        return f"SpectrumPoint({self.index} of {list(self.ambient.orders)})"
-
-
-def spectrum(algebra: FiniteMV) -> list[SpectrumPoint]:
-    return [SpectrumPoint(algebra, i) for i in range(algebra.num_components)]
+def spectrum(algebra: FiniteMV) -> list[int]:
+    """The prime (= maximal) ideals, one per component: index i stands for
+    the coordinate kernel {a : a_i = 0}, which is ``Ideal(algebra, [i])``."""
+    return list(range(algebra.num_components))
 
 
 def spectrum_space(algebra: FiniteMV) -> FinSpace:
@@ -82,54 +67,54 @@ def spectrum_space(algebra: FiniteMV) -> FinSpace:
     return FinSpace.discrete(algebra.num_components)
 
 
-def vanishing_locus(algebra: FiniteMV, elems: Iterable[Element]) -> frozenset[SpectrumPoint]:
+def vanishing_locus(algebra: FiniteMV, elems: Iterable[Element]) -> frozenset[int]:
     """V(S): the primes containing every element of S."""
     elems = [algebra.check(a) for a in elems]
-    return frozenset(
-        SpectrumPoint(algebra, i)
-        for i in range(algebra.num_components)
-        if all(a[i] == ZERO for a in elems)
-    )
+    return frozenset(i for i in range(algebra.num_components) if all(a[i] == ZERO for a in elems))
 
 
-def support(algebra: FiniteMV, a: Element) -> frozenset[SpectrumPoint]:
+def support(algebra: FiniteMV, a: Element) -> frozenset[int]:
     """Su(a): the complement of V(a)."""
-    return frozenset(set(spectrum(algebra)) - vanishing_locus(algebra, [a]))
+    return frozenset(i for i, c in enumerate(algebra.check(a)) if c != ZERO)
 
 
-def _point_indices(algebra: FiniteMV, points: Iterable) -> frozenset[int]:
+def _indices(algebra: FiniteMV, points: Iterable) -> frozenset[int]:
+    """The given spectrum points, each range-checked."""
     out = set()
-    for p in points:
-        i = p.index if isinstance(p, SpectrumPoint) else p
+    for i in points:
         if not isinstance(i, int) or not 0 <= i < algebra.num_components:
-            raise AlgebraError(f"{p!r} is not a spectrum point of {algebra}")
+            raise AlgebraError(f"{i!r} is not a spectrum point of {algebra}")
         out.add(i)
     return frozenset(out)
 
 
-def phi(algebra: FiniteMV, b: Element) -> frozenset[SpectrumPoint]:
+def _indicator(k: int, zero_on: frozenset[int]) -> Element:
+    return tuple(ZERO if i in zero_on else ONE for i in range(k))
+
+
+def phi(algebra: FiniteMV, b: Element) -> frozenset[int]:
     """The clopen V(b) attached to a Boolean element."""
     if not is_boolean(algebra, b):
         raise AlgebraError(f"{b!r} is not Boolean in {algebra}")
-    return vanishing_locus(algebra, [b])
+    return frozenset(i for i, c in enumerate(b) if c == ZERO)
 
 
-def chi(algebra: FiniteMV, zero_on: Iterable) -> Element:
+def chi(algebra: FiniteMV, zero_on: Iterable[int]) -> Element:
     """The Boolean element with residue 0 on the given clopen and 1 off it;
     inverse to phi."""
-    z = _point_indices(algebra, zero_on)
-    return tuple(ZERO if i in z else ONE for i in range(algebra.num_components))
+    return _indicator(algebra.num_components, _indices(algebra, zero_on))
 
 
-def chinese_boolean(algebra: FiniteMV, zero_part: Iterable, one_part: Iterable) -> Element:
+def chinese_boolean(algebra: FiniteMV, zero_part: Iterable[int], one_part: Iterable[int]) -> Element:
     """The unique Boolean element vanishing on one closed part of a partition
     of the spectrum and equal to 1 on the other: ``chi`` of the zero part.
     It is unique because a Boolean element is fixed by its residues."""
-    z = _point_indices(algebra, zero_part)
-    o = _point_indices(algebra, one_part)
-    if z | o != frozenset(range(algebra.num_components)) or z & o:
+    z = _indices(algebra, zero_part)
+    o = _indices(algebra, one_part)
+    k = algebra.num_components
+    if z | o != frozenset(range(k)) or z & o:
         raise AlgebraError("the two parts must partition the spectrum")
-    return chi(algebra, z)
+    return _indicator(k, z)
 
 
 def is_boolean_via_primes(algebra: FiniteMV, a: Element) -> bool:
@@ -167,10 +152,6 @@ def radical(algebra: FiniteMV) -> Ideal:
     return Ideal(algebra, range(algebra.num_components))
 
 
-def is_semisimple(algebra: FiniteMV) -> bool:
-    return radical(algebra).is_zero
-
-
 def is_simple(algebra: FiniteMV) -> bool:
     """Exactly two ideals, i.e. a single chain."""
     return algebra.num_components == 1
@@ -184,7 +165,6 @@ def holder_embed(algebra: FiniteMV) -> RationalAlgebra:
     return RationalAlgebra.chain(algebra.orders[0])
 
 
-def gelfand_transform(algebra: FiniteMV, a: Element) -> dict[SpectrumPoint, Fraction]:
-    """The coordinate table of a over the spectrum: p_i -> residue a_i."""
-    algebra.check(a)
-    return {p: a[p.index] for p in spectrum(algebra)}
+def gelfand_transform(algebra: FiniteMV, a: Element) -> dict[int, Fraction]:
+    """The coordinate table of a over the spectrum: i -> residue a_i."""
+    return dict(enumerate(algebra.check(a)))

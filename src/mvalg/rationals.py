@@ -10,12 +10,17 @@ specification is the whole rational interval.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import log10
 from typing import Iterator, Mapping
 
 from .algebras import AlgebraError
 from .records import Record
 
 INF = float("inf")
+
+# Python converts an int of at most this many digits to a decimal string
+# (sys.get_int_max_str_digits), so no chain with a longer order is written out
+MAX_ORDER_DIGITS = 4300
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -77,23 +82,41 @@ class RationalAlgebra(Record):
     def is_finite(self) -> bool:
         return not self.all_infinite and all(e != INF for _, e in self.exponents)
 
+    def _caps(self) -> str:
+        return ", ".join(f"{p}^{'inf' if e == INF else e}" for p, e in self.exponents)
+
+    def _order_too_long(self) -> bool:
+        """The finite chain's order would have more than MAX_ORDER_DIGITS digits."""
+        return sum(e * log10(p) for p, e in self.exponents) >= MAX_ORDER_DIGITS
+
     def chain_order(self) -> int | None:
-        """The denominator n when this algebra is the finite chain of order n."""
+        """The denominator n when this algebra is the finite chain of order n.
+        A chain whose order would have more than MAX_ORDER_DIGITS digits is
+        refused with AlgebraError before the power is computed."""
         if not self.is_finite:
             return None
+        if self._order_too_long():
+            raise AlgebraError(f"the chain order {self._caps()} has more than {MAX_ORDER_DIGITS} digits")
         n = 1
         for p, e in self.exponents:
             n *= p ** int(e)
         return n
 
     def contains(self, x: Fraction) -> bool:
+        """p/q (lowest terms) is a member iff q is 1 once each capped prime
+        is divided out of it as often as its cap allows."""
         x = Fraction(x)
         if not 0 <= x <= 1:
             return False
         if self.all_infinite:
             return True
-        caps = dict(self.exponents)
-        return all(e <= caps.get(p, 0) for p, e in factorize(x.denominator).items())
+        q = x.denominator
+        for p, cap in self.exponents:
+            stripped = 0
+            while stripped < cap and q % p == 0:
+                q //= p
+                stripped += 1
+        return q == 1
 
     def check(self, x: Fraction) -> Fraction:
         x = Fraction(x)
@@ -122,8 +145,6 @@ class RationalAlgebra(Record):
     def __repr__(self) -> str:
         if self.all_infinite:
             return "RationalAlgebra(full)"
-        n = self.chain_order()
-        if n is not None:
-            return f"RationalAlgebra(chain {n})"
-        caps = ", ".join(f"{p}^{'inf' if e == INF else e}" for p, e in self.exponents)
-        return f"RationalAlgebra({caps})"
+        if self.is_finite and not self._order_too_long():
+            return f"RationalAlgebra(chain {self.chain_order()})"
+        return f"RationalAlgebra({self._caps()})"

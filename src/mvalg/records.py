@@ -8,7 +8,8 @@ subclass follow its parent's.  Every record
   ``object.__setattr__`` (the constructors called once per swept item write
   their own, which is faster than the generic loop);
 * compares equal only to a record of the same class with equal fields (a
-  different class gives ``NotImplemented``);
+  different class gives ``NotImplemented``), through an ``__eq__`` and a
+  ``__hash__`` made for its class from its fields;
 * hashes as ``hash(tuple(fields))``, so sets and dicts of records iterate in
   the same order as the tuples of their fields would;
 * prints as ``ClassName(field=value, ...)`` unless it defines its own
@@ -25,14 +26,22 @@ from __future__ import annotations
 from operator import attrgetter
 
 
-def _values_getter(fields: tuple[str, ...]):
-    """The function record -> tuple of its field values."""
-    if len(fields) > 1:
-        return attrgetter(*fields)
-    if fields:
-        get = attrgetter(fields[0])
-        return lambda record: (get(record),)
-    return lambda record: ()
+def _eq_and_hash(fields: tuple[str, ...]):
+    """``__eq__`` and ``__hash__`` for a record class with these fields."""
+    key = attrgetter(*fields) if fields else (lambda record: ())
+    single = len(fields) == 1  # key gives the one value, not a tuple
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((key(self),) if single else key(self))
+
+    return __eq__, __hash__
 
 
 class Record:
@@ -45,7 +54,8 @@ class Record:
             raise TypeError(f"record class {cls.__name__} must declare __slots__")
         own = tuple(name for name in cls.__dict__["__slots__"] if name != "__dict__")
         cls._fields = cls._fields + own
-        cls._values = staticmethod(_values_getter(cls._fields))
+        if "__eq__" not in cls.__dict__:  # a class's own __eq__ is kept
+            cls.__eq__, cls.__hash__ = _eq_and_hash(cls._fields)
         # the slots' own setters, which bypass the __setattr__ below
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
@@ -62,20 +72,10 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values(self))
-
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         # copy and pickle rebuild through the positional constructor
-        return type(self), self._values(self)
+        return type(self), tuple(getattr(self, name) for name in self._fields)

@@ -20,7 +20,7 @@ from .records import Record
 
 
 class TopologyError(ValueError):
-    """Invalid topology, non-continuous map, or malformed space input."""
+    """Invalid topology or malformed space input."""
 
 
 def mask_of(points: Iterable[int]) -> int:
@@ -100,9 +100,6 @@ class FinSpace(Record):
             opens |= {o | nx for o in opens}
         return frozenset(opens)
 
-    def is_open(self, mask: int) -> bool:
-        return all(not self.nbhds[x] & ~mask for x in bits(mask))
-
     def clopens(self) -> list[int]:
         """The open sets whose complement is open."""
         opens, full = self.opens, self.full_mask
@@ -177,30 +174,6 @@ def pi0(space: FinSpace) -> Pi0Result:
     suite checks it against the quotient scan of oracles.py)."""
     label = components(space)
     return Pi0Result(FinSpace.discrete(max(label, default=-1) + 1), label)
-
-
-def check_continuous(f: Sequence[int], source: FinSpace, target: FinSpace) -> tuple[int, ...]:
-    """f is continuous exactly when f(N(x)) <= N(f(x)) for every point x."""
-    f = tuple(f)
-    if len(f) != source.points or not all(0 <= y < target.points for y in f):
-        raise TopologyError(f"{f!r} is not a map {source} -> {target}")
-    for x, nx in enumerate(source.nbhds):
-        if mask_of(f[y] for y in bits(nx)) & ~target.nbhds[f[x]]:
-            raise TopologyError(f"image of N({x}) is not inside N({f[x]}); map not continuous")
-    return f
-
-
-def pi0_map(f: Sequence[int], source: FinSpace, target: FinSpace) -> tuple[int, ...]:
-    """The induced map on component classes of a continuous map."""
-    f = check_continuous(f, source, target)
-    ps, pt = pi0(source), pi0(target)
-    out = [-1] * ps.class_count
-    for x in range(source.points):
-        c, d = ps.class_of[x], pt.class_of[f[x]]
-        if out[c] not in (-1, d):
-            raise TopologyError("map does not respect components")  # cannot happen
-        out[c] = d
-    return tuple(out)
 
 
 class EMapResult(Record):

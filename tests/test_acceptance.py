@@ -96,6 +96,13 @@ def test_criterion_08_pi0_product_preservation():
     assert report.stats["pairs"] == 35 * 35
 
 
+def test_pi0_products_samples_every_draw_above_the_default_size():
+    # the partners are filtered to products of at most SAMPLED_PRODUCT_POINTS
+    # points before the draws, so no draw is skipped at 5 points either
+    report = run_criterion("pi0-products", size=5)
+    assert report.passed and report.stats["sampled"] == 24
+
+
 def test_criterion_09_order_rank_local_finiteness():
     report = _run("order-rank")
     assert report.stats["rank_one"] == sum(1 for _ in _coprime_pairs(24))

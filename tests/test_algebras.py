@@ -18,7 +18,6 @@ from mvalg import (
     neg,
     odot,
     oplus,
-    product_algebra,
     product_split,
     quotient_by_ideal,
 )
@@ -207,8 +206,10 @@ class TestHoms:
 
     def test_identity(self):
         ident = Hom.identity(A23)
-        assert ident.is_identity()
+        assert ident.component_map == (0, 1)
         assert all(ident(x) == x for x in A23.elements())
+        for h in enumerate_homs(A23, FiniteMV([6, 6])):
+            assert h.compose(ident) == h == Hom.identity(h.target).compose(h)
 
     def test_divisibility_enforced(self):
         with pytest.raises(AlgebraError):
@@ -243,16 +244,18 @@ class TestHoms:
 
 class TestProduct:
     def test_concatenation_and_size(self):
-        p, pr0, pr1 = product_algebra(L2, L3)
+        p = FiniteMV(L2.orders + L3.orders)
         assert p == A23
-        assert p.size == 12
+        assert p.size == L2.size * L3.size == 12
+        pr0, pr1 = Hom(p, L2, [0]), Hom(p, L3, [1])
         x = p.element(["1/2", "2/3"])
         assert pr0(x) == (frac("1/2"),)
         assert pr1(x) == (frac("2/3"),)
+        assert len({(pr0(y), pr1(y)) for y in p.elements()}) == p.size
 
     def test_terminal_is_unit(self):
-        p, _, _ = product_algebra(A23, TERMINAL)
-        assert p == A23
+        assert FiniteMV(A23.orders + TERMINAL.orders) == A23
+        assert TERMINAL.size == 1 and TERMINAL.zero() == TERMINAL.one()
 
 
 class TestIdealsAndQuotients:
@@ -318,7 +321,7 @@ class TestProductSplit:
         # algebra and q1 is an isomorphism
         split = product_split(A23, A23.one())
         assert split.part0 == TERMINAL
-        assert split.part1 == A23 and split.q1.is_identity()
+        assert split.part1 == A23 and split.q1 == Hom.identity(A23)
 
     def test_pairing_bijective_and_section(self):
         for algebra in [A23, FiniteMV([2, 2, 2]), FiniteMV([1, 4]), TERMINAL]:

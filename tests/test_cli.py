@@ -273,6 +273,39 @@ class TestErrorHandling:
         code, out, _ = run_cli(capsys, "verify", "subterminal", "--max-size", str(maximum))
         assert code == 0 and sizes == [maximum] and json.loads(out)["max_size"] == maximum
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--alg", '{"rational":{"kind":"chain","n":6}}', "--elem", '"1/1000000000000000003"'],
+            ["rank", "--alg", '{"rational":{"kind":"supernatural","primes":{"2":"inf"},"all":false}}',
+             "--elem", '"1/1000000000000000003"'],
+        ],
+        ids=["chain-6", "two-infinite"],
+    )
+    def test_rational_non_member_with_a_large_prime_denominator_exits_2_at_once(self, capsys, argv):
+        # membership divides the capped primes out of the denominator; it
+        # never factorizes 10^18 + 3
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "is not a member" in err and "Traceback" not in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--alg", '{"finite":[' + "9" * 5000 + "]}"],
+            ["coproduct", "--alg", '{"finite":[2]}', "--alg", '{"finite":[' + "9" * 5000 + "]}"],
+            ["subterminal", "--alg", '{"rational":{"kind":"supernatural","primes":{"2":20000},"all":false}}'],
+            ["subterminal", "--alg", '{"rational":{"kind":"supernatural","primes":{"2":100000000000},"all":false}}'],
+        ],
+        ids=["5000-digit-order", "5000-digit-coproduct-summand", "chain-2^20000", "chain-2^10^11"],
+    )
+    def test_oversized_integer_exits_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:") and "Traceback" not in err
+        assert time.perf_counter() - start < 1.0
+
     def test_huge_point_count_is_rejected_at_once(self, capsys):
         # the missing full set is found from the input alone, before any
         # mask over the 10^9 points is built

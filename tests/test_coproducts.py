@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from mvalg import (
     FiniteMV,
+    Hom,
     INF,
     RationalAlgebra,
     coproduct_finite,
@@ -37,8 +38,8 @@ class TestCoproductFinite:
     def test_codiagonal_retracts_injections(self):
         for algebra in [L2, A23, FiniteMV([2, 2]), TERMINAL]:
             cop = coproduct_finite(algebra, algebra)
-            assert cop.codiagonal.compose(cop.in0).is_identity()
-            assert cop.codiagonal.compose(cop.in1).is_identity()
+            assert cop.codiagonal.compose(cop.in0) == Hom.identity(algebra)
+            assert cop.codiagonal.compose(cop.in1) == Hom.identity(algebra)
 
     def test_terminal_absorbs(self):
         assert coproduct_finite(A23, TERMINAL).algebra == TERMINAL
@@ -179,6 +180,20 @@ class TestRationalMembership:
         r = RationalAlgebra.chain(6)
         members = {q for q in (Fraction(p, q) for q in range(1, 13) for p in range(q + 1)) if r.contains(q)}
         assert members == set(r.elements())
+
+    def test_membership_matches_the_prime_exponent_rule(self):
+        # p/q is a member iff each prime power in q is within its cap; the
+        # rule is read here off the factorization that contains does not make
+        from itertools import product as iproduct
+
+        from mvalg.rationals import factorize
+
+        for caps in iproduct([0, 1, 2, INF], repeat=3):
+            r = RationalAlgebra.supernatural(dict(zip((2, 3, 5), caps)))
+            bounds = dict(r.exponents)
+            for q in range(1, 241):
+                expected = all(e <= bounds.get(p, 0) for p, e in factorize(q).items())
+                assert r.contains(Fraction(1, q)) == r.contains(Fraction(q - 1, q)) == expected
 
 
 class TestPierceCoproduct:

@@ -47,7 +47,7 @@ def homs_missing_one(source, target):
 def boolean_ignoring_the_last_prime(algebra, a):
     """The prime-residue criterion with the last prime left out."""
     algebra.check(a)
-    return all(a[p.index] in (ZERO, ONE) for p in pierce.spectrum(algebra)[:-1])
+    return all(a[i] in (ZERO, ONE) for i in pierce.spectrum(algebra)[:-1])
 
 
 def combine_selecting_c0_where_x_is_one(split, c0, c1):
