@@ -6,6 +6,14 @@ fraction in {0, 1/mi, ..., 1}.  All operations are coordinatewise and exact
 (stdlib fractions).  The empty product (k = 0) is the one-element algebra in
 which 0 = 1.  Values are immutable and every function here is pure.
 
+Elements have two forms.  The public form, which every public function takes
+and returns, is a tuple of Fractions.  The internal code form is the tuple of
+numerators (k1, ..., kk) with 0 <= ki <= mi, standing for (k1/m1, ...,
+kk/mk): the coordinates of Gamma(Z^k, (m1, ..., mk)), where x + y is
+min(k + l, m) and !x is m - k.  The exhaustive sweeps and the oracle tables
+run on codes; ``FiniteMV._code`` is the one conversion into codes (it
+validates) and ``FiniteMV._element`` the one conversion back.
+
 Homomorphisms between such algebras are stored dually: one source-component
 index per target component, constrained by divisibility of the chain
 denominators.  That this captures *all* homomorphisms is not assumed; it is
@@ -15,6 +23,7 @@ checked against a brute-force function search (see oracles / tests).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 from math import prod
 from typing import Iterable, Iterator
@@ -22,6 +31,7 @@ from typing import Iterable, Iterator
 from .records import Record
 
 Element = tuple[Fraction, ...]
+Code = tuple[int, ...]  # numerators over the chain orders
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -83,12 +93,32 @@ class FiniteMV(Record):
         return tuple(ONE if j == i else ZERO for j in range(len(self.orders)))
 
     def chain(self, i: int) -> list[Fraction]:
-        m = self.orders[i]
-        return [Fraction(j, m) for j in range(m + 1)]
+        return list(_chain(self.orders[i]))
 
     def elements(self) -> Iterator[Element]:
         """All carrier elements, in lexicographic coordinate order."""
-        yield from iproduct(*(self.chain(i) for i in range(len(self.orders))))
+        yield from iproduct(*map(_chain, self.orders))
+
+    def _codes(self) -> Iterator[Code]:
+        """The codes of all carrier elements, in the order of elements()."""
+        return iproduct(*(range(m + 1) for m in self.orders))
+
+    def _code(self, x: Element) -> Code:
+        """The code of x, raising AlgebraError exactly where check does."""
+        return tuple(c.numerator * (m // c.denominator) for c, m in zip(self.check(x), self.orders))
+
+    def _element(self, k: Code) -> Element:
+        """The element with code k, read from the chain tables."""
+        return tuple(_chain(m)[j] for j, m in zip(k, self.orders))
+
+    def _has_code(self, k: Code) -> bool:
+        """k is the code of an element: one numerator in 0..m per component."""
+        if len(k) != len(self.orders):
+            return False
+        for j, m in zip(k, self.orders):
+            if not 0 <= j <= m:
+                return False
+        return True
 
     def contains(self, x: Element) -> bool:
         """x is a tuple with one Fraction k/d per component, 0 <= k <= d and
@@ -123,17 +153,30 @@ class FiniteMV(Record):
         return f"FiniteMV({list(self.orders)})"
 
 
+@lru_cache(maxsize=256)
+def _chain(m: int) -> tuple[Fraction, ...]:
+    """The chain of order m, 0, 1/m, ..., 1, indexed by numerator."""
+    return tuple(Fraction(j, m) for j in range(m + 1))
+
+
 # -- coordinatewise operations ------------------------------------------------
 #
-# Elements stay tuples of Fractions, because that is what every public
-# result is compared with; only membership (FiniteMV.contains) works on the
-# integer numerators and denominators.  Validation happens once, at a public
-# entry: the public operations below, Hom.__call__, ProductSplit.pair and
-# ProductSplit.combine check their arguments and then call the underscored
-# versions (_neg, _oplus, ..., Hom._apply, ProductSplit._combine), which do
-# not.  Closure loops and exhaustive sweeps call the underscored versions
-# directly: the verification suites validate each swept element once and
-# then stay on the unchecked kernel.
+# Validation happens once, at a public entry: the public operations below,
+# Hom.__call__, ProductSplit.pair and ProductSplit.combine check their
+# arguments and then call the underscored versions, which do not.
+#
+# Which form each underscored function takes:
+# * Fraction tuples: _neg, _oplus, _odot, _join, _meet and Hom._apply.  The
+#   term evaluator, the closure oracle and the public entries use these, so
+#   public results are built without a conversion.
+# * codes: _neg_code, _oplus_code, _is_boolean, FiniteMV._has_code,
+#   Hom._apply_code and pierce._is_boolean_via_primes.  Each takes the chain
+#   orders (or its algebra) beside the code, since a numerator means nothing
+#   without its denominator.
+# * either: ProductSplit._combine, which only selects coordinates.
+# The exhaustive sweeps and the oracle tables convert once on the way in
+# (FiniteMV._code, or FiniteMV._codes for a whole carrier), stay on codes,
+# and convert back (FiniteMV._element) only to print a counterexample.
 
 
 def _neg(x: Element) -> Element:
@@ -176,10 +219,22 @@ def meet(algebra: FiniteMV, x: Element, y: Element) -> Element:
     return _meet(algebra.check(x), algebra.check(y))
 
 
+def _neg_code(orders: tuple[int, ...], k: Code) -> Code:
+    return tuple(m - a for a, m in zip(k, orders))
+
+
+def _oplus_code(orders: tuple[int, ...], k: Code, l: Code) -> Code:
+    return tuple(min(a + b, m) for a, b, m in zip(k, l, orders))
+
+
+def _is_boolean(orders: tuple[int, ...], k: Code) -> bool:
+    """The equational criterion on a code: k + k = k."""
+    return _oplus_code(orders, k, k) == k
+
+
 def is_boolean(algebra: FiniteMV, x: Element) -> bool:
     """x is Boolean iff x + x = x (equivalently every coordinate is 0 or 1)."""
-    x = algebra.check(x)
-    return _oplus(x, x) == x
+    return _is_boolean(algebra.orders, algebra._code(x))
 
 
 def leq(x: Element, y: Element) -> bool:
@@ -224,6 +279,12 @@ class Hom(Record):
         """The action on an element already known to lie in the source."""
         return tuple(x[i] for i in self.component_map)
 
+    def _apply_code(self, k: Code) -> Code:
+        """The action on a source code: k_i/m_i is (k_i * n_j/m_i)/n_j in
+        target component j, which reads source component i."""
+        m = self.source.orders
+        return tuple([k[i] * (n // m[i]) for i, n in zip(self.component_map, self.target.orders)])
+
     @staticmethod
     def identity(algebra: FiniteMV) -> "Hom":
         return Hom(algebra, algebra, range(algebra.num_components))
@@ -264,8 +325,9 @@ class Ideal(Record):
 
     def __init__(self, ambient: FiniteMV, vanishing: Iterable[int]):
         vanishing = frozenset(vanishing)
-        if not all(0 <= i < ambient.num_components for i in vanishing):
-            raise AlgebraError(f"vanishing set {set(vanishing)} out of range for {ambient}")
+        k = ambient.num_components
+        if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < k for i in vanishing):
+            raise AlgebraError(f"vanishing set {set(vanishing)} is not a set of components of {ambient}")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "vanishing", vanishing)
 
@@ -339,7 +401,8 @@ class ProductSplit(Record):
         return self._combine(self.ambient.check(c0), self.ambient.check(c1))
 
     def _combine(self, c0: Element, c1: Element) -> Element:
-        """combine on arguments already known to lie in the ambient algebra."""
+        """combine on arguments already known to lie in the ambient algebra,
+        both elements or both codes: it only selects coordinates."""
         c = list(c0)
         for i in self.q1.component_map:  # exactly the components where x = 1
             c[i] = c1[i]

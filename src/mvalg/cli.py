@@ -41,6 +41,10 @@ USER_ERRORS = (FormatError, AlgebraError, TermError, TopologyError)
 # Boolean elements of an algebra with k components, so both refuse larger k
 MAX_LISTED_COMPONENTS = 16
 
+# coproduct and separable build A + B with k_A * k_B components, and its
+# injections and witness list them all, so both refuse a larger product
+MAX_COPRODUCT_COMPONENTS = 4096
+
 
 def _load(text: str | None, flag: str):
     if text is None:
@@ -77,6 +81,14 @@ def _listable(algebra: FiniteMV) -> FiniteMV:
     return algebra
 
 
+def _coproduct_budget(a: FiniteMV, b: FiniteMV) -> None:
+    k = a.num_components * b.num_components
+    if k > MAX_COPRODUCT_COMPONENTS:
+        raise FormatError(
+            f"the coproduct would have {k} components; at most {MAX_COPRODUCT_COMPONENTS} are accepted"
+        )
+
+
 def cmd_decompose(args) -> dict:
     from .pierce import decompose
 
@@ -111,6 +123,7 @@ def cmd_coproduct(args) -> dict:
     a = parse_algebra(_load(args.alg[0], "--alg"))
     b = parse_algebra(_load(args.alg[1], "--alg"))
     if isinstance(a, FiniteMV) and isinstance(b, FiniteMV):
+        _coproduct_budget(a, b)
         cop = coproduct_finite(a, b)
         out = {
             "summands": [algebra_to_json(a), algebra_to_json(b)],
@@ -135,6 +148,8 @@ def cmd_separable(args) -> dict:
     algebra = parse_algebra(_load(args.alg[0] if args.alg else None, "--alg"))
     if isinstance(algebra, SimplicialGroup):
         raise FormatError("separable expects a finite, rational, or product algebra")
+    if isinstance(algebra, FiniteMV):  # its witness lives in A + A
+        _coproduct_budget(algebra, algebra)
     result = is_separable(algebra)
     out = {
         "algebra": algebra_to_json(algebra),
@@ -307,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = add("verify")
     v.add_argument("criteria", nargs="*", help="criterion names (default: all)")
     v.add_argument("--all", action="store_true", help="run every criterion")
-    v.add_argument("--max-size", type=int, default=None, help="primary sweep bound, 1..each suite's maximum")
+    v.add_argument("--max-size", type=int, default=None, help="primary sweep bound, each suite's minimum..maximum")
     v.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
     return parser
 

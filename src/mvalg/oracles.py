@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
-from .algebras import Element, FiniteMV, Hom, _neg, _oplus, leq
+from .algebras import Code, Element, FiniteMV, Hom, _neg, _neg_code, _oplus, _oplus_code, leq
 from .topology import FinSpace, bits, mask_of
 
 
@@ -52,26 +52,30 @@ def iter_finite_algebras(
 
 
 # -- homomorphisms as raw functions ----------------------------------------------
+#
+# The tables index the carrier by element code (see algebras), in
+# enumeration order; the operations are the code-level + and !.
 
 
 @lru_cache(maxsize=512)
-def element_index(algebra: FiniteMV) -> dict[Element, int]:
-    """Element -> its index in enumeration order, the indexing of
+def element_index(algebra: FiniteMV) -> dict[Code, int]:
+    """Element code -> its index in enumeration order, the indexing of
     op_tables(algebra); cached and shared, so read only."""
-    return {e: i for i, e in enumerate(algebra.elements())}
+    return {k: i for i, k in enumerate(algebra._codes())}
 
 
 @lru_cache(maxsize=512)
-def op_tables(algebra: FiniteMV) -> tuple[tuple[Element, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(elements, negation table, addition table) with elements indexed in
-    enumeration order."""
+def op_tables(algebra: FiniteMV) -> tuple[tuple[Code, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(element codes, negation table, addition table) with elements indexed
+    in enumeration order."""
     index = element_index(algebra)
-    elems = tuple(index)
-    neg_t = tuple(index[_neg(e)] for e in elems)
+    codes = tuple(index)
+    orders = algebra.orders
+    neg_t = tuple(index[_neg_code(orders, k)] for k in codes)
     plus_t = tuple(
-        tuple(index[_oplus(a, b)] for b in elems) for a in elems
+        tuple(index[_oplus_code(orders, k, l)] for l in codes) for k in codes
     )
-    return elems, neg_t, plus_t
+    return codes, neg_t, plus_t
 
 
 def hom_graph(h: Hom) -> tuple[int, ...]:
@@ -79,7 +83,7 @@ def hom_graph(h: Hom) -> tuple[int, ...]:
     lookup is the membership test: an image outside the target carrier
     raises KeyError."""
     index_t = element_index(h.target)
-    return tuple(index_t[h._apply(x)] for x in op_tables(h.source)[0])
+    return tuple(index_t[h._apply_code(k)] for k in op_tables(h.source)[0])
 
 
 def brute_force_hom_graphs(source: FiniteMV, target: FiniteMV) -> set[tuple[int, ...]]:
@@ -87,11 +91,11 @@ def brute_force_hom_graphs(source: FiniteMV, target: FiniteMV) -> set[tuple[int,
     found by backtracking over function tables with forced-value propagation.
     The full function space is decided; propagation only prunes assignments
     that already violate a preservation equation."""
-    elems_s, neg_s, plus_s = op_tables(source)
-    elems_t, neg_t, plus_t = op_tables(target)
-    n_s, n_t = len(elems_s), len(elems_t)
-    zero_s = elems_s.index(source.zero())
-    zero_t = elems_t.index(target.zero())
+    codes_s, neg_s, plus_s = op_tables(source)
+    codes_t, neg_t, plus_t = op_tables(target)
+    n_s, n_t = len(codes_s), len(codes_t)
+    zero_s = element_index(source)[(0,) * source.num_components]
+    zero_t = element_index(target)[(0,) * target.num_components]
 
     f = [-1] * n_s
     assigned: list[int] = []  # the indices with f[i] != -1, in assignment order

@@ -19,6 +19,7 @@ from .algebras import (
     ZERO,
     ONE,
     AlgebraError,
+    Code,
     Element,
     FiniteMV,
     Hom,
@@ -79,10 +80,11 @@ def support(algebra: FiniteMV, a: Element) -> frozenset[int]:
 
 
 def _indices(algebra: FiniteMV, points: Iterable) -> frozenset[int]:
-    """The given spectrum points, each range-checked."""
+    """The given spectrum points, each checked to be a component index (an
+    int, not a bool, in range)."""
     out = set()
     for i in points:
-        if not isinstance(i, int) or not 0 <= i < algebra.num_components:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < algebra.num_components:
             raise AlgebraError(f"{i!r} is not a spectrum point of {algebra}")
         out.add(i)
     return frozenset(out)
@@ -117,12 +119,16 @@ def chinese_boolean(algebra: FiniteMV, zero_part: Iterable[int], one_part: Itera
     return _indicator(k, z)
 
 
+def _is_boolean_via_primes(orders: tuple[int, ...], k: Code) -> bool:
+    """The prime-residue criterion on a code: every residue is 0 or 1.  The
+    primes are the coordinate kernels, so the residue at the prime of
+    component i is k[i] / orders[i] in the chain A/p."""
+    return all(k[i] in (0, orders[i]) for i in range(len(orders)))
+
+
 def is_boolean_via_primes(algebra: FiniteMV, a: Element) -> bool:
-    """The prime-residue criterion: Boolean iff every residue a/p is 0 or 1.
-    The primes are the coordinate kernels, so the residue at the prime of
-    component i is the image a[i] of a in the chain A/p."""
-    algebra.check(a)
-    return all(a[i] in (ZERO, ONE) for i in range(algebra.num_components))
+    """The prime-residue criterion: Boolean iff every residue a/p is 0 or 1."""
+    return _is_boolean_via_primes(algebra.orders, algebra._code(a))
 
 
 class Decomposition(Record):

@@ -6,10 +6,10 @@ against an independent reference computation.  A suite is a function
 ``(size, seed) -> (summary, stats)`` that raises ``Violation`` at its first
 counterexample; ``run_criterion`` is the one place that times a suite and
 turns its outcome into a ``CriterionReport``.  ``size`` rescales the primary
-sweep bound and must lie in ``1..maximum`` from ``CRITERIA`` (the defaults
-there are the ones the acceptance tests pin); ``seed`` only affects criteria
-that sample an otherwise impractical catalog, and the default makes every run
-reproducible bit for bit.
+sweep bound and must lie in ``minimum..maximum`` from ``CRITERIA`` (the
+defaults there are the ones the acceptance tests pin); ``seed`` only affects
+criteria that sample an otherwise impractical catalog, and the default makes
+every run reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from math import gcd
 
 from .algebras import (
     FiniteMV,
+    _is_boolean,
     enumerate_homs,
-    is_boolean,
     product_split,
 )
 from .coproducts import (
@@ -44,11 +44,11 @@ from .oracles import (
     quotient_bruteforce,
 )
 from .pierce import (
+    _is_boolean_via_primes,
     boolean_skeleton,
     chi,
     decompose,
     holder_embed,
-    is_boolean_via_primes,
     phi,
 )
 from .rationals import RationalAlgebra
@@ -178,9 +178,8 @@ def check_separability(size: int, seed: int) -> tuple[str, dict]:
         if split.part1.orders != a.orders:
             raise Violation(f"codiagonal leg of {a} is not the algebra itself")
         if cert.coproduct.algebra.size <= EXHAUSTIVE_SPLIT_BOUND:
-            seen = set()
-            for x in cert.coproduct.algebra.elements():
-                seen.add(split.pair(x))
+            q0, q1 = split.q0._apply_code, split.q1._apply_code
+            seen = {(q0(c), q1(c)) for c in cert.coproduct.algebra._codes()}
             if len(seen) != cert.coproduct.algebra.size:
                 raise Violation(f"witness split of {a} is not bijective")
         result = is_separable(a)
@@ -232,9 +231,10 @@ def check_vanishing_locus(size: int, seed: int) -> tuple[str, dict]:
     elements = 0
     carrier = 25 * size
     for a in iter_finite_algebras(max_size=carrier):
-        for x in a.elements():
-            if is_boolean_via_primes(a, x) != is_boolean(a, x):
-                raise Violation(f"prime criterion disagrees on {x} in {a}")
+        orders = a.orders
+        for k in a._codes():
+            if _is_boolean_via_primes(orders, k) != _is_boolean(orders, k):
+                raise Violation(f"prime criterion disagrees on {a._element(k)} in {a}")
             elements += 1
     summary = f"phi/chi inverse on {pairs} clopens (<= {size} components); prime criterion on {elements} elements (|A| <= {carrier})"
     return summary, {"clopens": pairs, "elements": elements}
@@ -251,10 +251,12 @@ def check_product_split(size: int, seed: int) -> tuple[str, dict]:
     is a section of it.  Injectivity and the section property over the full
     quotient product are exhaustive for every algebra in the sweep; that
     combine ignores the choice of representatives is additionally exhausted
-    over all A x A pairs on carriers up to REPRESENTATIVE_PAIR_BOUND."""
+    over all A x A pairs on carriers up to REPRESENTATIVE_PAIR_BOUND.  The
+    sweep runs on codes: each listed element is validated once into its
+    code, and the parts' carriers are listed as codes."""
 
     def lift(algebra: FiniteMV, kept: tuple[int, ...], y) -> tuple:
-        coords = [Fraction(0)] * algebra.num_components
+        coords = [0] * algebra.num_components
         for pos, i in enumerate(kept):
             coords[i] = y[pos]
         return tuple(coords)
@@ -262,28 +264,28 @@ def check_product_split(size: int, seed: int) -> tuple[str, dict]:
     algebras = booleans = 0
     for a in iter_finite_algebras(max_size=size):
         algebras += 1
-        elems = list(a.elements())
+        codes = [a._code(e) for e in a.elements()]  # the one validation of each element
         for x in boolean_skeleton(a).elements():
             split = product_split(a, x)
             if len(split.part0.orders) + len(split.part1.orders) != a.num_components:
                 raise Violation(f"split of {a} at {x} not complementary")
-            q0, q1 = split.q0._apply, split.q1._apply
-            paired = [split.pair(e) for e in elems]  # the one validation of each element
-            if len(set(paired)) != len(elems):
+            q0, q1 = split.q0._apply_code, split.q1._apply_code
+            paired = [(q0(k), q1(k)) for k in codes]
+            if len(set(paired)) != len(codes):
                 raise Violation(f"pairing not injective for x={x} in {a}")
-            lifts1 = [(y1, lift(a, split.q1.component_map, y1)) for y1 in split.part1.elements()]
-            for y0 in split.part0.elements():
+            lifts1 = [(y1, lift(a, split.q1.component_map, y1)) for y1 in split.part1._codes()]
+            for y0 in split.part0._codes():
                 l0 = lift(a, split.q0.component_map, y0)
                 for y1, l1 in lifts1:
                     c = split._combine(l0, l1)
-                    if not a.contains(c):
+                    if not a._has_code(c):
                         raise Violation(f"combine left the algebra for x={x} in {a}")
                     if q0(c) != y0 or q1(c) != y1:
                         raise Violation(f"combine not a section for x={x} in {a}")
-            if len(elems) <= REPRESENTATIVE_PAIR_BOUND:
-                for (c0, (y0, _)), (c1, (_, y1)) in iproduct(zip(elems, paired), repeat=2):
+            if len(codes) <= REPRESENTATIVE_PAIR_BOUND:
+                for (c0, (y0, _)), (c1, (_, y1)) in iproduct(zip(codes, paired), repeat=2):
                     c = split._combine(c0, c1)
-                    if not a.contains(c):
+                    if not a._has_code(c):
                         raise Violation(f"combine left the algebra for x={x} in {a}")
                     if q0(c) != y0 or q1(c) != y1:
                         raise Violation(f"combine depends on representatives for x={x} in {a}")
@@ -405,33 +407,35 @@ def check_simplicial_roundtrip(size: int, seed: int) -> tuple[str, dict]:
     return summary, {"algebras": len(catalog)}
 
 
-# name -> (suite, default size, maximum size).  The defaults are the bounds the
-# acceptance tests pin; a run at the maximum takes at most about ten seconds
-# (measured on 2 vCPUs, Python 3.11), one size more takes longer.
+# name -> (suite, minimum size, default size, maximum size).  The defaults are
+# the bounds the acceptance tests pin; a run at the maximum takes at most about
+# ten seconds (measured on 2 vCPUs, Python 3.11), one size more takes longer.
+# hom-oracle and product-split sweep carriers of at most ``size`` elements, and
+# below 2 that is the one-element algebra alone, so their minimum is 2.
 CRITERIA = {
-    "hom-oracle": (check_hom_oracle, 30, 47),
-    "coproduct-universal": (check_coproduct_universal, 6, 12),
-    "pierce-coproducts": (check_pierce_coproducts, 4, 9),
-    "separability": (check_separability, 4, 48),
-    "subterminal": (check_subterminal, 8, 150),
-    "vanishing-locus": (check_vanishing_locus, 8, 12),
-    "product-split": (check_product_split, 100, 250),
-    "pi0-products": (check_pi0_products, 4, 6),  # 7 points have 209,527 topologies to list
-    "order-rank": (check_order_rank, 24, 240),
-    "simplicial-roundtrip": (check_simplicial_roundtrip, 6, 60),
+    "hom-oracle": (check_hom_oracle, 2, 30, 47),
+    "coproduct-universal": (check_coproduct_universal, 1, 6, 12),
+    "pierce-coproducts": (check_pierce_coproducts, 1, 4, 9),
+    "separability": (check_separability, 1, 4, 48),
+    "subterminal": (check_subterminal, 1, 8, 150),
+    "vanishing-locus": (check_vanishing_locus, 1, 8, 12),
+    "product-split": (check_product_split, 2, 100, 250),
+    "pi0-products": (check_pi0_products, 1, 4, 6),  # 7 points have 209,527 topologies to list
+    "order-rank": (check_order_rank, 1, 24, 240),
+    "simplicial-roundtrip": (check_simplicial_roundtrip, 1, 6, 60),
 }
 
 
 def suite_size(name: str, size: int | None) -> int:
     """The size suite ``name`` runs at: its default for None.  Raises
-    ValueError for an unknown name or a size outside ``1..maximum``."""
+    ValueError for an unknown name or a size outside ``minimum..maximum``."""
     if name not in CRITERIA:
         raise ValueError(f"unknown criterion {name!r}; known: {', '.join(CRITERIA)}")
-    _, default, maximum = CRITERIA[name]
+    _, minimum, default, maximum = CRITERIA[name]
     if size is None:
         return default
-    if not 1 <= size <= maximum:
-        raise ValueError(f"size {size} is outside 1..{maximum} for {name}")
+    if not minimum <= size <= maximum:
+        raise ValueError(f"size {size} is outside {minimum}..{maximum} for {name}")
     return size
 
 

@@ -119,10 +119,10 @@ def test_all_criteria_registered():
 
 @pytest.mark.parametrize("name", list(CRITERIA))
 def test_size_outside_the_table_is_rejected_before_the_suite_runs(name):
-    _, default, maximum = CRITERIA[name]
-    assert 1 <= default <= maximum
-    for size in (0, -1, maximum + 1):
-        with pytest.raises(ValueError, match=f"outside 1..{maximum} for {name}"):
+    _, minimum, default, maximum = CRITERIA[name]
+    assert 1 <= minimum <= default <= maximum
+    for size in (minimum - 1, 0, -1, maximum + 1):
+        with pytest.raises(ValueError, match=f"outside {minimum}..{maximum} for {name}"):
             run_criterion(name, size=size)
 
 

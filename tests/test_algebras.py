@@ -21,6 +21,7 @@ from mvalg import (
     product_split,
     quotient_by_ideal,
 )
+from mvalg.algebras import _neg, _neg_code, _oplus, _oplus_code
 from mvalg.oracles import (
     all_ideals_bruteforce,
     brute_force_hom_graphs,
@@ -105,6 +106,11 @@ class TestMembershipKernel:
         for x in grid + shapes:
             expected = self._reference(carrier, x)
             assert algebra.contains(x) is expected, x
+            if expected:  # the code conversion validates exactly like contains
+                assert algebra._element(algebra._code(x)) == x
+            else:
+                with pytest.raises(AlgebraError):
+                    algebra._code(x)
             members += expected
         assert members == len(carrier)  # the grid holds every carrier element once
 
@@ -136,6 +142,40 @@ class TestMembershipKernel:
         ):
             with pytest.raises(AlgebraError):
                 call()
+
+
+class TestCodes:
+    """The numerator codes the sweeps and oracle tables run on agree with
+    the Fraction elements at every conversion."""
+
+    @pytest.mark.parametrize("algebra", list(iter_finite_algebras(max_size=60)), ids=repr)
+    def test_codes_round_trip_in_enumeration_order(self, algebra):
+        codes = list(algebra._codes())
+        assert [algebra._element(k) for k in codes] == list(algebra.elements())
+        assert all(algebra._code(algebra._element(k)) == k for k in codes)
+        # the range test accepts exactly the codes, on every numerator from -1 to m + 1
+        ranges = [range(-1, m + 2) for m in algebra.orders]
+        assert {k for k in product(*ranges) if algebra._has_code(k)} == set(codes)
+        assert not algebra._has_code(codes[0] + (0,))
+
+    @pytest.mark.parametrize("algebra", list(iter_finite_algebras(max_size=12)), ids=repr)
+    def test_code_operations_match_the_fraction_operations(self, algebra):
+        orders, element = algebra.orders, algebra._element
+        codes = list(algebra._codes())
+        for k in codes:
+            assert element(_neg_code(orders, k)) == _neg(element(k))
+            for l in codes:
+                assert element(_oplus_code(orders, k, l)) == _oplus(element(k), element(l))
+
+    def test_hom_code_action_matches_the_hom(self):
+        catalog = list(iter_finite_algebras(max_size=12))
+        homs = 0
+        for a, b in product(catalog, repeat=2):
+            for h in enumerate_homs(a, b):
+                for x in a.elements():
+                    assert h._apply_code(a._code(x)) == b._code(h(x)), (h, x)
+                homs += 1
+        assert homs > 100
 
 
 class TestMVAxioms:
@@ -228,13 +268,13 @@ class TestHoms:
         kept when it preserves 0, ! and + on every ordered pair."""
         catalog = list(iter_finite_algebras(max_size=5))
         for a, b in product(catalog, repeat=2):
-            elems_s, neg_s, plus_s = op_tables(a)
-            elems_t, neg_t, plus_t = op_tables(b)
-            n = len(elems_s)
-            zero_s, zero_t = elems_s.index(a.zero()), elems_t.index(b.zero())
+            codes_s, neg_s, plus_s = op_tables(a)
+            codes_t, neg_t, plus_t = op_tables(b)
+            n = len(codes_s)
+            zero_s, zero_t = codes_s.index(a._code(a.zero())), codes_t.index(b._code(b.zero()))
             scanned = {
                 f
-                for f in product(range(len(elems_t)), repeat=n)
+                for f in product(range(len(codes_t)), repeat=n)
                 if f[zero_s] == zero_t
                 and all(f[neg_s[i]] == neg_t[f[i]] for i in range(n))
                 and all(f[plus_s[i][j]] == plus_t[f[i]][f[j]] for i in range(n) for j in range(n))
@@ -285,6 +325,11 @@ class TestIdealsAndQuotients:
         assert localize(A23, A23.element([1, 0]))[0] == L2  # invert (1,0): keep where x=1
         assert localize(A23, A23.one())[0] == A23
         assert localize(A23, A23.zero())[0] == TERMINAL
+
+    @pytest.mark.parametrize("vanishing", [[True], [False], [0.0], [2], [-1]])
+    def test_ideal_rejects_what_is_not_a_component(self, vanishing):
+        with pytest.raises(AlgebraError):
+            Ideal(A23, vanishing)
 
     def test_localize_requires_boolean(self):
         with pytest.raises(AlgebraError):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from mvalg import FiniteMV, INF, RationalAlgebra, SimplicialGroup
-from mvalg.cli import MAX_LISTED_COMPONENTS, main
+from mvalg.cli import MAX_COPRODUCT_COMPONENTS, MAX_LISTED_COMPONENTS, main
 from mvalg.formats import (
     FormatError,
     algebra_to_json,
@@ -242,12 +242,15 @@ class TestErrorHandling:
             (["pi0-products", "--max-size", "-1"], "pi0-products"),
             (["hom-oracle", "--max-size", "-1"], "hom-oracle"),
             (["product-split", "--max-size", "0"], "product-split"),
+            (["product-split", "--max-size", "1"], "product-split"),
+            (["hom-oracle", "product-split", "--max-size", "1"], "hom-oracle"),
             (["coproduct-universal", "--max-size", "40"], "coproduct-universal"),
             (["vanishing-locus", "--max-size", "16"], "vanishing-locus"),
             (["--all", "--max-size", "7"], "pi0-products"),
             (["subterminal", "vanishing-locus", "--max-size", "13"], "vanishing-locus"),
         ],
         ids=["pi0-products-negative", "hom-oracle-negative", "product-split-zero",
+             "product-split-below-minimum", "hom-oracle-below-minimum",
              "coproduct-universal-40", "vanishing-locus-16", "all-7", "second-suite-13"],
     )
     def test_verify_size_out_of_range_exits_2_before_any_suite(self, capsys, argv, suite):
@@ -262,14 +265,14 @@ class TestErrorHandling:
         # suite records the size the command passes on
         from mvalg import verify
 
-        _, default, maximum = verify.CRITERIA["subterminal"]
+        _, minimum, default, maximum = verify.CRITERIA["subterminal"]
         sizes = []
 
         def suite(size, seed):
             sizes.append(size)
             return "stand-in", {}
 
-        monkeypatch.setitem(verify.CRITERIA, "subterminal", (suite, default, maximum))
+        monkeypatch.setitem(verify.CRITERIA, "subterminal", (suite, minimum, default, maximum))
         code, out, _ = run_cli(capsys, "verify", "subterminal", "--max-size", str(maximum))
         assert code == 0 and sizes == [maximum] and json.loads(out)["max_size"] == maximum
 
@@ -305,6 +308,29 @@ class TestErrorHandling:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:") and "Traceback" not in err
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["separable", "--alg", json.dumps({"finite": [2] * 65})],
+            ["separable", "--alg", json.dumps({"finite": [2] * 300})],
+            ["coproduct", "--alg", json.dumps({"finite": [2] * 65}), "--alg", json.dumps({"finite": [3] * 64})],
+            ["coproduct", "--alg", json.dumps({"finite": [2] * 3000}), "--alg", json.dumps({"finite": [2] * 3000})],
+        ],
+        ids=["separable-65", "separable-300", "coproduct-65x64", "coproduct-3000x3000"],
+    )
+    def test_coproduct_over_the_component_budget_exits_2_at_once(self, capsys, argv):
+        # the budget is checked from k_A * k_B before A + B is built
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "components" in err and "Traceback" not in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_coproduct_at_the_component_budget_is_accepted(self, capsys):
+        a = json.dumps({"finite": [2] * 64})
+        assert 64 * 64 == MAX_COPRODUCT_COMPONENTS
+        code, out, _ = run_cli(capsys, "coproduct", "--alg", a, "--alg", a)
+        assert code == 0 and json.loads(out)["algebra"] == {"finite": [2] * MAX_COPRODUCT_COMPONENTS}
 
     def test_huge_point_count_is_rejected_at_once(self, capsys):
         # the missing full set is found from the input alone, before any

@@ -13,7 +13,7 @@ from itertools import product as iproduct
 import pytest
 
 from mvalg import cli, coproducts, pierce, terms, topology, verify
-from mvalg.algebras import ONE, ZERO, Hom, ProductSplit, _neg, enumerate_homs
+from mvalg.algebras import ONE, FiniteMV, Hom, ProductSplit, _neg, enumerate_homs
 
 
 def homs_without_divisibility(source, target):
@@ -44,10 +44,20 @@ def homs_missing_one(source, target):
     return homs[:-1] if len(homs) >= 2 else homs
 
 
-def boolean_ignoring_the_last_prime(algebra, a):
-    """The prime-residue criterion with the last prime left out."""
-    algebra.check(a)
-    return all(a[i] in (ZERO, ONE) for i in pierce.spectrum(algebra)[:-1])
+def boolean_ignoring_the_last_prime(orders, k):
+    """The prime-residue criterion on a code with the last prime left out."""
+    return all(k[i] in (0, orders[i]) for i in range(len(orders) - 1))
+
+
+def apply_code_without_rescale(hom, k):
+    """Hom._apply_code copying each numerator unscaled, as if the source and
+    target chains had the same order."""
+    return tuple(k[i] for i in hom.component_map)
+
+
+def has_code_below_the_top(algebra, k):
+    """FiniteMV._has_code rejecting the top numerator m of each chain."""
+    return len(k) == len(algebra.orders) and all(0 <= j < m for j, m in zip(k, algebra.orders))
 
 
 def combine_selecting_c0_where_x_is_one(split, c0, c1):
@@ -106,10 +116,20 @@ MUTANTS = [  # (module, name, wrong, suite, size, the FAIL summary or a pattern 
         id="combine-swapped",
     ),
     pytest.param(
-        verify, "is_boolean_via_primes", boolean_ignoring_the_last_prime, "vanishing-locus", 2,
+        verify, "_is_boolean_via_primes", boolean_ignoring_the_last_prime, "vanishing-locus", 2,
         "prime criterion disagrees on (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), "
         "Fraction(1, 2)) in FiniteMV([1, 1, 1, 1, 2])",
         id="boolean-ignoring-last-prime",
+    ),
+    pytest.param(
+        Hom, "_apply_code", apply_code_without_rescale, "hom-oracle", 3,
+        "mismatch for FiniteMV([1]) -> FiniteMV([2]): 1 enumerated vs 1 brute force",
+        id="hom-apply-code-without-rescale",
+    ),
+    pytest.param(
+        FiniteMV, "_has_code", has_code_below_the_top, "product-split", 2,
+        "combine left the algebra for x=(Fraction(0, 1),) in FiniteMV([1])",
+        id="code-membership-without-the-top",
     ),
     pytest.param(
         topology.FinSpace, "opens", opens_without_the_last_neighbourhood, "pi0-products", 4,

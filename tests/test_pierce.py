@@ -92,7 +92,7 @@ class TestVanishingLocusIso:
         with pytest.raises(AlgebraError):
             phi(A23, (Fraction(1), Fraction(1), Fraction(0)))
 
-    @pytest.mark.parametrize("points", [[2], [-1], ["0"], [None], [0.0]])
+    @pytest.mark.parametrize("points", [[2], [-1], ["0"], [None], [0.0], [True]])
     def test_chi_rejects_what_is_not_a_spectrum_point(self, points):
         with pytest.raises(AlgebraError):
             chi(A23, points)
