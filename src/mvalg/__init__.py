@@ -33,14 +33,12 @@ _EXPORTS = {
     ),
     "coproducts": (
         "CoproductResult",
-        "PierceCoproductReport",
         "SeparabilityCertificate",
         "SeparabilityResult",
         "coproduct_finite",
         "coproduct_rational",
         "is_separable",
         "is_subterminal_epic",
-        "pierce_coproduct_check",
         "separability_witness",
     ),
     "lgroups": ("SimplicialGroup", "gamma", "product_unital", "xi"),
@@ -77,17 +75,12 @@ _EXPORTS = {
     ),
     "topology": (
         "FinSpace",
-        "FiniteBoolean",
         "Pi0Result",
         "TopologyError",
-        "ba_coproduct",
-        "clopen_algebra",
         "components",
-        "e_map",
         "gamma_compare",
         "pi0",
         "product_space",
-        "quasi_components",
     ),
 }
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import prod
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .records import Record
 
@@ -170,7 +170,7 @@ def _chain(m: int) -> tuple[Fraction, ...]:
 #   term evaluator, the closure oracle and the public entries use these, so
 #   public results are built without a conversion.
 # * codes: _neg_code, _oplus_code, _is_boolean, FiniteMV._has_code,
-#   Hom._apply_code and pierce._is_boolean_via_primes.  Each takes the chain
+#   Hom._code_action and pierce._is_boolean_via_primes.  Each takes the chain
 #   orders (or its algebra) beside the code, since a numerator means nothing
 #   without its denominator.
 # * either: ProductSplit._combine, which only selects coordinates.
@@ -279,11 +279,18 @@ class Hom(Record):
         """The action on an element already known to lie in the source."""
         return tuple(x[i] for i in self.component_map)
 
-    def _apply_code(self, k: Code) -> Code:
-        """The action on a source code: k_i/m_i is (k_i * n_j/m_i)/n_j in
-        target component j, which reads source component i."""
+    def _code_action(self) -> Callable[[Code], Code]:
+        """The action on source codes: k_i/m_i is (k_i * n_j/m_i)/n_j in
+        target component j, which reads source component i.  The pairs
+        (i, n_j // m_i) are computed once here, so a sweep takes the action
+        once per hom and then applies it to every code."""
         m = self.source.orders
-        return tuple([k[i] * (n // m[i]) for i, n in zip(self.component_map, self.target.orders)])
+        scaled = [(i, n // m[i]) for i, n in zip(self.component_map, self.target.orders)]
+
+        def act(k: Code) -> Code:
+            return tuple([k[i] * s for i, s in scaled])
+
+        return act
 
     @staticmethod
     def identity(algebra: FiniteMV) -> "Hom":

@@ -4,7 +4,8 @@ Every command reads JSON wire formats (see formats) and writes a JSON report
 to stdout; ``--format text`` switches to a terse human summary with no
 stability guarantee.  Exit codes: 0 success, 1 a verification suite found a
 violation (an exception raised inside a suite counts as one), 2 malformed
-input.
+input, 3 an internal error (any other exception, reported on one stderr line
+with no traceback).
 """
 
 from __future__ import annotations
@@ -352,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect in mvalg, not in the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     _emit(args, payload)
     return 0
 

@@ -5,7 +5,10 @@ formula: one component per pair (i, j) of summand components, with the lcm
 of the two chain orders, ordered lexicographically in (i, j).  The formula
 is an implementation hypothesis, not an axiom: the test suite discharges it
 by checking the universal property (precomposition with the injections is a
-bijection onto pairs of homs) over exhaustive sweeps.
+bijection onto pairs of homs) over exhaustive sweeps.  The Boolean part of
+A+B needs no code of its own: its atoms are the k_A * k_B meets
+in0(atom_i) /\\ in1(atom_j), one per grid cell, which is the Boolean
+coproduct of the parts (the pierce-coproducts suite checks it).
 
 Separability is decided through the codiagonal: an algebra is separable
 exactly when ker(codiagonal) is generated by the negation of a Boolean
@@ -26,14 +29,12 @@ from .algebras import (
     Hom,
     Ideal,
     ProductSplit,
-    _meet,
     _neg,
     product_split,
 )
-from .pierce import boolean_skeleton, chi, decompose, holder_embed
+from .pierce import chi, decompose, holder_embed
 from .rationals import RationalAlgebra
 from .records import Record
-from .topology import FiniteBoolean, ba_coproduct
 
 
 class CoproductResult(Record):
@@ -136,40 +137,3 @@ def is_separable(
     if not all(isinstance(f, RationalAlgebra) for f in factors):
         raise AlgebraError(f"{algebra!r} is not a representable algebra")
     return SeparabilityResult(True, factors)
-
-
-class PierceCoproductReport(Record):
-    """Comparison of the Boolean part of A+B with the Boolean coproduct of
-    the parts, through the canonical map on atoms."""
-
-    __slots__ = ("passed", "atoms_left", "atoms_right", "atoms_coproduct", "detail")
-    passed: bool
-    atoms_left: int
-    atoms_right: int
-    atoms_coproduct: int
-    detail: str
-
-
-def pierce_coproduct_check(a: FiniteMV, b: FiniteMV) -> PierceCoproductReport:
-    """The canonical Boolean map P(A) + P(B) -> P(A+B) sends the atom pair
-    (i, j) to in0(atom_i) /\\ in1(atom_j); it is an isomorphism exactly when
-    those meets enumerate the atoms of P(A+B) bijectively."""
-    cop = coproduct_finite(a, b)
-    skel = boolean_skeleton(cop.algebra)
-    expected = ba_coproduct(
-        FiniteBoolean(a.num_components), FiniteBoolean(b.num_components)
-    ).atom_count
-    images = []
-    for i in range(a.num_components):
-        for j in range(b.num_components):
-            images.append(_meet(cop.in0(a.atom(i)), cop.in1(b.atom(j))))
-    atom_set = set(skel.atoms())
-    ok = (
-        len(images) == len(set(images)) == expected == skel.atom_count
-        and set(images) == atom_set
-    )
-    detail = (
-        f"P({list(a.orders)}+{list(b.orders)}) has {skel.atom_count} atoms; "
-        f"Boolean coproduct has {expected}"
-    )
-    return PierceCoproductReport(ok, a.num_components, b.num_components, skel.atom_count, detail)

@@ -4,8 +4,8 @@ Everything here is deliberately independent of the representations it is
 used to validate: homomorphisms are searched as raw functions on carrier
 tables, ideals and subalgebras as subsets, generated subalgebras by a
 round-based closure under + and !, connectivity by looking for two-block
-clopen partitions, topologies and quotients on their explicit open sets.
-Slow by design, but complete at desk scale.
+clopen partitions, topologies, quasi-components and quotients on their
+explicit open sets.  Slow by design, but complete at desk scale.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ def hom_graph(h: Hom) -> tuple[int, ...]:
     lookup is the membership test: an image outside the target carrier
     raises KeyError."""
     index_t = element_index(h.target)
-    return tuple(index_t[h._apply_code(k)] for k in op_tables(h.source)[0])
+    act = h._code_action()
+    return tuple(index_t[act(k)] for k in op_tables(h.source)[0])
 
 
 def brute_force_hom_graphs(source: FiniteMV, target: FiniteMV) -> set[tuple[int, ...]]:
@@ -257,6 +258,18 @@ def is_topology_pairwise(points: int, opens: Iterable[int]) -> bool:
         and all(not o & ~full for o in opens)
         and all(a | b in opens and a & b in opens for a in opens for b in opens)
     )
+
+
+def quasi_components_bruteforce(space: FinSpace) -> tuple[int, ...]:
+    """Quasi-component labels from one scan of the opens: the clopens are
+    the opens whose complement is open, and two points share a class when
+    they lie in the same clopens, so each point is labelled by its
+    clopen-membership vector (a fibre of the map E).  Classes are numbered
+    by first occurrence, which is by smallest member."""
+    opens, full = space.opens, space.full_mask
+    clopens = [o for o in opens if full ^ o in opens]
+    label: dict[tuple[int, ...], int] = {}
+    return tuple(label.setdefault(tuple(c >> x & 1 for c in clopens), len(label)) for x in range(space.points))
 
 
 def quotient_bruteforce(space: FinSpace, class_of: tuple[int, ...]) -> FinSpace:

@@ -1,15 +1,18 @@
-"""Finite topological spaces: components, quasi-components, pi0, products.
+"""Finite topological spaces: components, pi0, products.
 
 A finite topology is determined by the minimal open neighbourhood N(x) of
 each point, the intersection of the opens containing x (Alexandroff 1937;
 Stong 1966), and N is the one stored form: a FinSpace holds one bitmask over
 range(points) per point.  A set W is open exactly when N(x) <= W for every
-x in W, so the opens are the unions of the N(x); they are listed only on
-request (``FinSpace.opens``), for output and for the reference checks in
-oracles.py.  Components are the connected components of the comparability
-graph of the specialization preorder (x ~ y iff y in N(x) or x in N(y)),
-found by merging the neighbourhoods that meet; the tests justify this
-against a naive oracle that searches for two-block clopen partitions.
+x in W, so the opens are the unions of the N(x); they are listed only for
+output (``space_to_json``) and for the reference scans in oracles.py.
+Components are the connected components of the comparability graph of the
+specialization preorder (x ~ y iff y in N(x) or x in N(y)), found by merging
+the neighbourhoods that meet.  The components of a finite space are clopen
+(Stong 1966), so they are also its quasi-components, the fibres of the
+clopen-membership map, and the atoms of its Boolean algebra of clopens; the
+pi0-products suite checks them against the clopen scan of oracles.py, and
+the tests against an oracle that searches for two-block clopen partitions.
 """
 
 from __future__ import annotations
@@ -100,11 +103,6 @@ class FinSpace(Record):
             opens |= {o | nx for o in opens}
         return frozenset(opens)
 
-    def clopens(self) -> list[int]:
-        """The open sets whose complement is open."""
-        opens, full = self.opens, self.full_mask
-        return sorted(o for o in opens if full ^ o in opens)
-
 
 def space_from_min_nbhds(nbhds: Sequence[int]) -> FinSpace:
     """The topology whose opens are the unions of the given minimal
@@ -139,25 +137,6 @@ def components(space: FinSpace) -> tuple[int, ...]:
     return tuple(label)
 
 
-def quasi_components(space: FinSpace) -> tuple[int, ...]:
-    """Class index per point, by intersecting the clopens containing it."""
-    clopens = space.clopens()
-    qc = []
-    for x in range(space.points):
-        m = space.full_mask
-        for c in clopens:
-            if c & (1 << x):
-                m &= c
-        qc.append(m)
-    label: list[int] = []
-    seen: dict[int, int] = {}
-    for x in range(space.points):
-        if qc[x] not in seen:
-            seen[qc[x]] = len(seen)
-        label.append(seen[qc[x]])
-    return tuple(label)
-
-
 class Pi0Result(Record):
     __slots__ = ("space", "class_of")
     space: FinSpace
@@ -174,49 +153,6 @@ def pi0(space: FinSpace) -> Pi0Result:
     suite checks it against the quotient scan of oracles.py)."""
     label = components(space)
     return Pi0Result(FinSpace.discrete(max(label, default=-1) + 1), label)
-
-
-class EMapResult(Record):
-    """The clopen-membership embedding E and its comparison with pi0.
-
-    ``table[x]`` is x's membership vector over ``clopens`` (sorted masks);
-    ``image`` is the image space (a subspace of a finite product of discrete
-    two-point spaces, hence discrete); ``comparison[c]`` is the image point of
-    component class c."""
-
-    __slots__ = ("clopens", "table", "image", "comparison")
-    clopens: tuple[int, ...]
-    table: tuple[tuple[int, ...], ...]
-    image: FinSpace
-    comparison: tuple[int, ...]
-
-    @property
-    def is_bijective(self) -> bool:
-        vals = set(self.comparison)
-        return len(vals) == len(self.comparison) == self.image.points
-
-
-def e_map(space: FinSpace) -> EMapResult:
-    clopens = tuple(space.clopens())
-    table = tuple(
-        tuple(1 if c & (1 << x) else 0 for c in clopens) for x in range(space.points)
-    )
-    image_points: list[tuple[int, ...]] = []
-    index: dict[tuple[int, ...], int] = {}
-    for x in range(space.points):
-        if table[x] not in index:
-            index[table[x]] = len(image_points)
-            image_points.append(table[x])
-    image = FinSpace.discrete(len(image_points))
-    p = pi0(space)
-    comparison = [-1] * p.class_count
-    for x in range(space.points):
-        c = p.class_of[x]
-        i = index[table[x]]
-        if comparison[c] not in (-1, i):
-            raise TopologyError("component not contained in a quasi-component")  # cannot happen
-        comparison[c] = i
-    return EMapResult(clopens, table, image, tuple(comparison))
 
 
 def pair_index(x: int, y: int, y_points: int) -> int:
@@ -260,32 +196,6 @@ def gamma_compare(a: FinSpace, b: FinSpace) -> ProductComparison:
         mask_of(mapping[d] for d in bits(nc)) == right.nbhds[mapping[c]] for c, nc in enumerate(pp.space.nbhds)
     )
     return ProductComparison(pp, right, tuple(mapping), bij, homeo)
-
-
-class FiniteBoolean(Record):
-    """Finite Boolean algebra, recorded by its atom count (carrier: subsets
-    of the atoms; dual to the discrete space on the atoms)."""
-
-    __slots__ = ("atom_count",)
-    atom_count: int
-
-    @property
-    def size(self) -> int:
-        return 1 << self.atom_count
-
-
-def clopen_algebra(space: FinSpace) -> FiniteBoolean:
-    """The Boolean algebra of clopens; its atoms are the minimal nonempty ones."""
-    clopens = space.clopens()
-    nonempty = [c for c in clopens if c]
-    atoms = [c for c in nonempty if not any(d and d != c and not (d & ~c) for d in nonempty)]
-    return FiniteBoolean(len(atoms))
-
-
-def ba_coproduct(a: FiniteBoolean, b: FiniteBoolean) -> FiniteBoolean:
-    """Coproduct of finite Boolean algebras: dual to the product of the atom
-    sets, so atom counts multiply."""
-    return FiniteBoolean(a.atom_count * b.atom_count)
 
 
 def iter_min_nbhd_assignments(n: int) -> Iterator[tuple[int, ...]]:

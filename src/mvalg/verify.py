@@ -24,6 +24,7 @@ from math import gcd
 from .algebras import (
     FiniteMV,
     _is_boolean,
+    _meet,
     enumerate_homs,
     product_split,
 )
@@ -31,7 +32,6 @@ from .coproducts import (
     coproduct_finite,
     is_separable,
     is_subterminal_epic,
-    pierce_coproduct_check,
     separability_witness,
 )
 from .lgroups import gamma, product_unital, xi
@@ -41,6 +41,7 @@ from .oracles import (
     components_bruteforce,
     hom_graph,
     iter_finite_algebras,
+    quasi_components_bruteforce,
     quotient_bruteforce,
 )
 from .pierce import (
@@ -56,13 +57,11 @@ from .records import Record
 from .terms import generated_subalgebra, order_rank
 from .topology import (
     components,
-    e_map,
     gamma_compare,
     iter_topologies,
     parse_space_json,
     pi0,
     product_space,
-    quasi_components,
     space_to_json,
 )
 
@@ -141,15 +140,26 @@ def check_coproduct_universal(size: int, seed: int) -> tuple[str, dict]:
 
 
 def check_pierce_coproducts(size: int, seed: int) -> tuple[str, dict]:
-    """The Boolean part of A+B is the Boolean coproduct of the parts: atom
-    counts multiply and the canonical map is an isomorphism."""
+    """The Boolean part of A+B is the Boolean coproduct of the parts: the
+    canonical map sends the atom pair (i, j) to in0(atom_i) /\\ in1(atom_j),
+    and those k_A * k_B meets are distinct and are the atoms of P(A+B)."""
     catalog = list(iter_finite_algebras(max_components=3, max_order=size))
     pairs = 0
     for a in catalog:
         for b in catalog:
-            report = pierce_coproduct_check(a, b)
-            if not report.passed or report.atoms_coproduct != a.num_components * b.num_components:
-                raise Violation(f"failed for {a}, {b}: {report.detail}")
+            cop = coproduct_finite(a, b)
+            expected = a.num_components * b.num_components
+            meets = {
+                _meet(cop.in0(a.atom(i)), cop.in1(b.atom(j)))
+                for i in range(a.num_components)
+                for j in range(b.num_components)
+            }
+            atoms = set(boolean_skeleton(cop.algebra).atoms())
+            if len(meets) != expected or meets != atoms:
+                raise Violation(
+                    f"failed for {a}, {b}: P({list(a.orders)}+{list(b.orders)}) has {len(atoms)} atoms; "
+                    f"Boolean coproduct has {expected}"
+                )
             pairs += 1
     summary = f"{pairs} pairs (<= 3 components, orders <= {size}), atom counts multiply"
     return summary, {"pairs": pairs}
@@ -178,7 +188,7 @@ def check_separability(size: int, seed: int) -> tuple[str, dict]:
         if split.part1.orders != a.orders:
             raise Violation(f"codiagonal leg of {a} is not the algebra itself")
         if cert.coproduct.algebra.size <= EXHAUSTIVE_SPLIT_BOUND:
-            q0, q1 = split.q0._apply_code, split.q1._apply_code
+            q0, q1 = split.q0._code_action(), split.q1._code_action()
             seen = {(q0(c), q1(c)) for c in cert.coproduct.algebra._codes()}
             if len(seen) != cert.coproduct.algebra.size:
                 raise Violation(f"witness split of {a} is not bijective")
@@ -269,7 +279,7 @@ def check_product_split(size: int, seed: int) -> tuple[str, dict]:
             split = product_split(a, x)
             if len(split.part0.orders) + len(split.part1.orders) != a.num_components:
                 raise Violation(f"split of {a} at {x} not complementary")
-            q0, q1 = split.q0._apply_code, split.q1._apply_code
+            q0, q1 = split.q0._code_action(), split.q1._code_action()
             paired = [(q0(k), q1(k)) for k in codes]
             if len(set(paired)) != len(codes):
                 raise Violation(f"pairing not injective for x={x} in {a}")
@@ -299,30 +309,26 @@ def check_product_split(size: int, seed: int) -> tuple[str, dict]:
 
 def check_pi0_products(size: int, seed: int) -> tuple[str, dict]:
     """The listed opens parse back to the space, components = quasi-components
-    = brute force, pi0 carries the quotient topology of the oracle scan, the
-    clopen-membership map separates exactly the quasi-components (n <= 5
-    exhaustively), and the product comparison gamma is a homeomorphism
-    (exhaustive pairs up to 3 points, whose products' pi0 is also checked
-    against the quotient scan; seeded sample at ``size`` points)."""
+    (the fibres of the clopen-membership map E, from the oracle's clopen
+    scan) = brute force, pi0 carries the quotient topology of the oracle
+    scan (n <= 5 exhaustively), and the product comparison gamma is a
+    homeomorphism (exhaustive pairs up to 3 points, whose products' pi0 is
+    also checked against the quotient scan; seeded sample at ``size``
+    points).  Equal E-fibres are equal clopen intersections, so the
+    comparison of pi0 with the image of E is bijective exactly when the
+    components are the quasi-components."""
     spaces_checked = 0
     for n in range(6):
         for space in iter_topologies(n):
             if parse_space_json(space_to_json(space)) != space:
                 raise Violation(f"the opens of {space} do not parse back to it")
             comp = components(space)
-            if comp != quasi_components(space):
+            if comp != quasi_components_bruteforce(space):
                 raise Violation(f"components != quasi-components on {space}")
             if n <= 4 and comp != components_bruteforce(space):
                 raise Violation(f"components disagree with brute force on {space}")
             if pi0(space).space != quotient_bruteforce(space, comp):
                 raise Violation(f"pi0 is not the quotient topology on {space}")
-            em = e_map(space)
-            for x in range(n):
-                for y in range(n):
-                    if (em.table[x] == em.table[y]) != (comp[x] == comp[y]):
-                        raise Violation(f"clopen-membership map wrong on {space}")
-            if not em.is_bijective:
-                raise Violation(f"comparison with the image space not bijective on {space}")
             spaces_checked += 1
     small = [s for n in range(4) for s in iter_topologies(n)]
     pairs = 0

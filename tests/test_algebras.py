@@ -172,10 +172,28 @@ class TestCodes:
         homs = 0
         for a, b in product(catalog, repeat=2):
             for h in enumerate_homs(a, b):
+                act = h._code_action()
                 for x in a.elements():
-                    assert h._apply_code(a._code(x)) == b._code(h(x)), (h, x)
+                    assert act(a._code(x)) == b._code(h(x)), (h, x)
                 homs += 1
         assert homs > 100
+
+    def test_hom_code_action_of_the_identity_is_the_identity(self):
+        for algebra in iter_finite_algebras(max_size=60):
+            act = Hom.identity(algebra)._code_action()
+            assert all(act(k) == k for k in algebra._codes()), algebra
+
+    def test_hom_code_action_of_a_composite_is_the_composite_action(self):
+        catalog = list(iter_finite_algebras(max_size=8))
+        composites = 0
+        for a, b, c in product(catalog, repeat=3):
+            for h in enumerate_homs(a, b):
+                act_h = h._code_action()
+                for g in enumerate_homs(b, c):
+                    act_g, act_gh = g._code_action(), g.compose(h)._code_action()
+                    assert all(act_gh(k) == act_g(act_h(k)) for k in a._codes()), (g, h)
+                    composites += 1
+        assert composites > 100
 
 
 class TestMVAxioms:

@@ -332,6 +332,33 @@ class TestErrorHandling:
         code, out, _ = run_cli(capsys, "coproduct", "--alg", a, "--alg", a)
         assert code == 0 and json.loads(out)["algebra"] == {"finite": [2] * MAX_COPRODUCT_COMPONENTS}
 
+    def test_internal_error_exits_3_without_a_traceback(self, capsys, monkeypatch):
+        from mvalg import cli
+
+        def broken(args):
+            raise RuntimeError("planted defect")
+
+        monkeypatch.setitem(cli.HANDLERS, "decompose", broken)
+        code, out, err = run_cli(capsys, "decompose", "--alg", '{"finite":[2]}')
+        assert (code, out, err) == (3, "", "internal error: RuntimeError: planted defect\n")
+
+    def test_exception_inside_a_suite_exits_1_not_3(self, capsys, monkeypatch):
+        # a suite that raises found a defect in the code under test: a FAIL
+        # report, not an internal error of the command
+        from mvalg import verify
+
+        _, minimum, default, maximum = verify.CRITERIA["subterminal"]
+
+        def suite(size, seed):
+            raise RuntimeError("planted defect")
+
+        monkeypatch.setitem(verify.CRITERIA, "subterminal", (suite, minimum, default, maximum))
+        code, out, err = run_cli(capsys, "verify", "subterminal")
+        payload = json.loads(out)
+        report = payload["criteria"][0]
+        assert code == 1 and err == "" and payload["all_passed"] is False and report["passed"] is False
+        assert "RuntimeError" in report["summary"] and "planted defect" in report["summary"]
+
     def test_huge_point_count_is_rejected_at_once(self, capsys):
         # the missing full set is found from the input alone, before any
         # mask over the 10^9 points is built

@@ -7,12 +7,13 @@ from mvalg import (
     Hom,
     INF,
     RationalAlgebra,
+    boolean_skeleton,
     coproduct_finite,
     coproduct_rational,
     enumerate_homs,
     is_separable,
     is_subterminal_epic,
-    pierce_coproduct_check,
+    meet,
     separability_witness,
 )
 from mvalg.oracles import iter_finite_algebras
@@ -197,18 +198,32 @@ class TestRationalMembership:
 
 
 class TestPierceCoproduct:
+    """The atoms of the Boolean part of A+B are the k_A * k_B distinct meets
+    in0(atom_i) /\\ in1(atom_j)."""
+
+    @staticmethod
+    def meets_and_atoms(a, b):
+        cop = coproduct_finite(a, b)
+        meets = [
+            meet(cop.algebra, cop.in0(a.atom(i)), cop.in1(b.atom(j)))
+            for i in range(a.num_components)
+            for j in range(b.num_components)
+        ]
+        return meets, boolean_skeleton(cop.algebra).atoms()
+
     def test_example(self):
-        report = pierce_coproduct_check(A23, A23)
-        assert report.passed and report.atoms_coproduct == 4
+        meets, atoms = self.meets_and_atoms(A23, A23)
+        assert len(set(meets)) == len(meets) == len(atoms) == 4
+        assert set(meets) == set(atoms)
 
     def test_with_terminal(self):
-        report = pierce_coproduct_check(A23, TERMINAL)
-        assert report.passed and report.atoms_coproduct == 0
+        for a, b in [(A23, TERMINAL), (TERMINAL, A23), (TERMINAL, TERMINAL)]:
+            assert self.meets_and_atoms(a, b) == ([], [])
 
     def test_sweep(self):
         catalog = list(iter_finite_algebras(max_components=3, max_order=4))
         for a in catalog[::3]:
             for b in catalog[::3]:
-                report = pierce_coproduct_check(a, b)
-                assert report.passed
-                assert report.atoms_coproduct == a.num_components * b.num_components
+                meets, atoms = self.meets_and_atoms(a, b)
+                assert len(set(meets)) == len(meets) == a.num_components * b.num_components
+                assert set(meets) == set(atoms)

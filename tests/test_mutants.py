@@ -49,10 +49,15 @@ def boolean_ignoring_the_last_prime(orders, k):
     return all(k[i] in (0, orders[i]) for i in range(len(orders) - 1))
 
 
-def apply_code_without_rescale(hom, k):
-    """Hom._apply_code copying each numerator unscaled, as if the source and
+def code_action_without_rescale(hom):
+    """Hom._code_action copying each numerator unscaled, as if the source and
     target chains had the same order."""
-    return tuple(k[i] for i in hom.component_map)
+    return lambda k: tuple(k[i] for i in hom.component_map)
+
+
+def atoms_without_the_last(skeleton):
+    """BooleanSkeleton.atoms dropping its last atom."""
+    return [skeleton.ambient.atom(i) for i in range(skeleton.atom_count - 1)]
 
 
 def has_code_below_the_top(algebra, k):
@@ -122,9 +127,14 @@ MUTANTS = [  # (module, name, wrong, suite, size, the FAIL summary or a pattern 
         id="boolean-ignoring-last-prime",
     ),
     pytest.param(
-        Hom, "_apply_code", apply_code_without_rescale, "hom-oracle", 3,
+        Hom, "_code_action", code_action_without_rescale, "hom-oracle", 3,
         "mismatch for FiniteMV([1]) -> FiniteMV([2]): 1 enumerated vs 1 brute force",
         id="hom-apply-code-without-rescale",
+    ),
+    pytest.param(
+        pierce.BooleanSkeleton, "atoms", atoms_without_the_last, "pierce-coproducts", 1,
+        "failed for FiniteMV([1]), FiniteMV([1]): P([1]+[1]) has 0 atoms; Boolean coproduct has 1",
+        id="skeleton-atoms-missing-the-last",
     ),
     pytest.param(
         FiniteMV, "_has_code", has_code_below_the_top, "product-split", 2,

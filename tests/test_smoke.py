@@ -1,5 +1,9 @@
-"""The demos run to completion, and the benchmark's tracer still finds every
-mvalg function it wraps."""
+"""The demos print their golden stdout, and the benchmark's tracer still
+finds every mvalg function it wraps.
+
+``tests/golden/make_demo_golden.py`` wrote the golden files; a change meant
+to alter a demo's output regenerates them with it and says so.
+"""
 
 import os
 import pathlib
@@ -10,6 +14,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -18,6 +23,7 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / f"{demo.stem}.out").read_text()
 
 
 def test_benchmark_bindings_resolve(monkeypatch):

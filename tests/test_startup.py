@@ -101,23 +101,23 @@ def test_malformed_term_exits_2_without_a_traceback():
 # -- the lazy package ----------------------------------------------------------------
 
 PUBLIC_NAMES = """
-    AlgebraError BooleanSkeleton CoproductResult Decomposition Element FinSpace FiniteBoolean
-    FiniteMV Hom INF Ideal OrderRank ParseError PierceCoproductReport Pi0Result ProductSplit
+    AlgebraError BooleanSkeleton CoproductResult Decomposition Element FinSpace
+    FiniteMV Hom INF Ideal OrderRank ParseError Pi0Result ProductSplit
     RationalAlgebra SeparabilityCertificate SeparabilityResult SimplicialGroup
-    Subalgebra Term TermError TopologyError algebras ba_coproduct boolean_skeleton chi
-    chinese_boolean clopen_algebra components coproduct_finite coproduct_rational coproducts
-    decompose e_map enumerate_homs eval_term gamma gamma_compare gelfand_transform
+    Subalgebra Term TermError TopologyError algebras boolean_skeleton chi
+    chinese_boolean components coproduct_finite coproduct_rational coproducts
+    decompose enumerate_homs eval_term gamma gamma_compare gelfand_transform
     generated_subalgebra holder_embed is_boolean is_boolean_via_primes is_separable
     is_simple is_subterminal_epic join leq lgroups localize meet neg odot oplus order_rank
-    parse_term phi pi0 pierce pierce_coproduct_check product_space
-    product_split product_unital quasi_components quotient_by_ideal radical rationals
+    parse_term phi pi0 pierce product_space
+    product_split product_unital quotient_by_ideal radical rationals
     separability_witness spectrum spectrum_space support term_to_str terms topology
     vanishing_locus xi
 """.split()
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC_NAMES) == 78
+    assert len(PUBLIC_NAMES) == 71
     assert mvalg.__all__ == sorted(PUBLIC_NAMES)
     assert set(mvalg.__all__) <= set(dir(mvalg))
 
@@ -156,7 +156,6 @@ RECORDS = [  # one instance of every record class, built through the library
     coproducts.coproduct_finite(A, A),
     coproducts.separability_witness(A),
     coproducts.is_separable(A),
-    coproducts.pierce_coproduct_check(A, A),
     lgroups.SimplicialGroup([2, 3]),
     pierce.boolean_skeleton(A),
     pierce.decompose(A),
@@ -174,9 +173,7 @@ RECORDS = [  # one instance of every record class, built through the library
     terms.order_rank(A, A.element(["1/2", "1/3"])),
     SPACE,
     topology.pi0(SPACE),
-    topology.e_map(SPACE),
     topology.gamma_compare(SPACE, SPACE),
-    topology.clopen_algebra(SPACE),
     verify.run_criterion("subterminal", size=2),
 ]
 
@@ -238,9 +235,11 @@ def test_records_of_different_classes_differ():
 
 
 def test_positional_construction_checks_the_arity():
-    assert topology.FiniteBoolean(3).atom_count == 3
+    assert topology.Pi0Result(SPACE, (0, 0, 0)).class_of == (0, 0, 0)
     with pytest.raises(TypeError):
-        topology.FiniteBoolean(3, 4)
+        topology.Pi0Result(SPACE)
+    with pytest.raises(TypeError):
+        topology.Pi0Result(SPACE, (0, 0, 0), 3)
 
 
 def test_subalgebra_is_unhashable_and_caches_its_elements():

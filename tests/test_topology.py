@@ -6,22 +6,18 @@ from mvalg import (
     FiniteMV,
     FinSpace,
     TopologyError,
-    ba_coproduct,
-    clopen_algebra,
     components,
-    e_map,
     gamma_compare,
     pi0,
     product_space,
-    quasi_components,
 )
 from mvalg.oracles import (
     components_bruteforce,
     is_topology_pairwise,
+    quasi_components_bruteforce,
     quotient_bruteforce,
 )
 from mvalg.topology import (
-    FiniteBoolean,
     bits,
     iter_min_nbhd_assignments,
     iter_topologies,
@@ -36,6 +32,12 @@ def is_continuous(f: tuple[int, ...], source: FinSpace, target: FinSpace) -> boo
     """The definition: the preimage of every open of the target is open."""
     opens = source.opens
     return all(sum(1 << x for x in range(source.points) if o >> f[x] & 1) in opens for o in target.opens)
+
+
+def clopens(space: FinSpace) -> list[int]:
+    """The definition: the opens whose complement is open."""
+    opens = space.opens
+    return [o for o in opens if space.full_mask ^ o in opens]
 
 
 class TestFinSpace:
@@ -138,7 +140,7 @@ class TestComponents:
     def test_agree_with_quasi_components_and_bruteforce(self, n):
         for space in iter_topologies(n):
             c = components(space)
-            assert c == quasi_components(space)
+            assert c == quasi_components_bruteforce(space)
             assert c == components_bruteforce(space)
 
     def test_bruteforce_oracle_on_sampled_larger_spaces(self):
@@ -153,7 +155,7 @@ class TestComponents:
             for _ in range(count):
                 space = random_topology(n, rng)
                 c = components(space)
-                assert c == quasi_components(space)
+                assert c == quasi_components_bruteforce(space)
                 assert c == components_bruteforce(space)
 
 
@@ -225,28 +227,49 @@ class TestPi0:
                             assert cy[f[p]] == cy[f[q]]
 
 
+class TestQuasiComponentsOracle:
+    @pytest.mark.parametrize("n", range(5))
+    def test_labels_the_clopen_membership_fibres_by_first_occurrence(self, n):
+        for space in iter_topologies(n):
+            qc, cs = quasi_components_bruteforce(space), clopens(space)
+            # the first point of each new class takes the next label
+            assert all(qc[x] <= max(qc[:x], default=-1) + 1 for x in range(n))
+            for x in range(n):
+                for y in range(n):
+                    same = all(c >> x & 1 == c >> y & 1 for c in cs)
+                    assert (qc[x] == qc[y]) == same
+
+
 class TestEMap:
+    """The clopen-membership map E sends x to the clopens containing it; the
+    oracle labels the points by its fibres."""
+
     def test_injective_on_discrete(self):
-        em = e_map(FinSpace.discrete(2))
-        assert len(set(em.table)) == 2
+        assert quasi_components_bruteforce(FinSpace.discrete(2)) == (0, 1)
+        assert quasi_components_bruteforce(SIERPINSKI) == (0, 0)
 
     def test_separates_exactly_quasi_components(self):
+        # equal membership vectors <=> equal intersections of the clopens
+        # containing the point, the definition of a quasi-component
         for n in range(5):
             for space in iter_topologies(n):
-                em = e_map(space)
-                qc = quasi_components(space)
+                cs, qc = clopens(space), quasi_components_bruteforce(space)
+                meet = [space.full_mask] * n
+                for c in cs:
+                    for x in bits(c):
+                        meet[x] &= c
                 for x in range(n):
                     for y in range(n):
-                        assert (em.table[x] == em.table[y]) == (qc[x] == qc[y])
+                        assert (meet[x] == meet[y]) == (qc[x] == qc[y])
 
     def test_comparison_is_homeomorphism(self):
         # bijective, and both sides discrete: the image by construction, the
         # component quotient because components of finite spaces are clopen
         for n in range(5):
             for space in iter_topologies(n):
-                em = e_map(space)
-                assert em.is_bijective
+                qc = quasi_components_bruteforce(space)
                 result = pi0(space)
+                assert set(zip(result.class_of, qc)) == {(c, c) for c in set(qc)}
                 quotient = quotient_bruteforce(space, result.class_of)
                 assert quotient == result.space == FinSpace.discrete(quotient.points)
 
@@ -282,18 +305,32 @@ class TestProducts:
 
 
 class TestBooleanSide:
+    @staticmethod
+    def clopen_atoms(space):
+        """The minimal nonempty clopens."""
+        nonempty = [c for c in clopens(space) if c]
+        return [c for c in nonempty if not any(d != c and not (d & ~c) for d in nonempty)]
+
     def test_clopen_algebra_counts(self):
-        assert clopen_algebra(FinSpace.discrete(3)).atom_count == 3
-        assert clopen_algebra(SIERPINSKI).atom_count == 1
+        assert len(self.clopen_atoms(FinSpace.discrete(3))) == 3
+        assert len(self.clopen_atoms(SIERPINSKI)) == 1
 
     def test_clopen_atoms_equal_components(self):
         for n in range(5):
             for space in iter_topologies(n):
-                c = components(space)
-                assert clopen_algebra(space).atom_count == (max(c) + 1 if c else 0)
+                label = components(space)
+                classes = {sum(1 << x for x in range(n) if label[x] == c) for c in set(label)}
+                assert set(self.clopen_atoms(space)) == classes
 
     def test_ba_coproduct_multiplies(self):
-        assert ba_coproduct(FiniteBoolean(2), FiniteBoolean(3)).atom_count == 6
+        # the clopen algebra of a product is the coproduct of the clopen
+        # algebras, so its atoms are the k_X * k_Y products of atoms
+        assert len(self.clopen_atoms(product_space(FinSpace.discrete(2), FinSpace.discrete(3)))) == 6
+        spaces = [space for n in range(3) for space in iter_topologies(n)]
+        for x in spaces:
+            for y in spaces:
+                atoms = self.clopen_atoms(product_space(x, y))
+                assert len(atoms) == len(self.clopen_atoms(x)) * len(self.clopen_atoms(y))
 
     def test_ba_coproduct_universal_property_via_mv(self):
         # powerset algebras are the all-ones finite algebras; Boolean homs
