@@ -39,6 +39,36 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# psi_13 (Sorenson & Webster 2015); a larger prime key is refused
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_KEY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= n < PRIME_KEY_BOUND."""
+    if n < 2:
+        return False
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class RationalAlgebra(Record):
     """Denominator specification: (prime, exponent cap) pairs plus an
     all-primes-infinite flag.  p/q (lowest terms) is a member iff every prime
@@ -54,7 +84,9 @@ class RationalAlgebra(Record):
         else:
             items = dict(exponents or {})
             for p, e in items.items():
-                if not isinstance(p, int) or p < 2 or factorize(p) != {p: 1}:
+                if isinstance(p, int) and p >= PRIME_KEY_BOUND:
+                    raise AlgebraError(f"prime key {p} is not below {PRIME_KEY_BOUND}, the bound of the primality test")
+                if not isinstance(p, int) or not _is_prime(p):
                     raise AlgebraError(f"{p!r} is not prime")
                 if e != INF and (not isinstance(e, int) or e < 0):
                     raise AlgebraError(f"bad exponent {e!r} for prime {p}")

@@ -7,16 +7,25 @@ range(points) per point.  A set W is open exactly when N(x) <= W for every
 x in W, so the opens are the unions of the N(x); they are listed only for
 output (``space_to_json``) and for the reference scans in oracles.py.
 Components are the connected components of the comparability graph of the
-specialization preorder (x ~ y iff y in N(x) or x in N(y)), found by merging
-the neighbourhoods that meet.  The components of a finite space are clopen
-(Stong 1966), so they are also its quasi-components, the fibres of the
-clopen-membership map, and the atoms of its Boolean algebra of clopens; the
-pi0-products suite checks them against the clopen scan of oracles.py, and
-the tests against an oracle that searches for two-block clopen partitions.
+specialization preorder (x ~ y iff y in N(x) or x in N(y)), each grown from
+one N(x) by joining the neighbourhoods that meet it.  The components of a
+finite space are clopen (Stong 1966), so they are also its quasi-components,
+the fibres of the clopen-membership map, and the atoms of its Boolean
+algebra of clopens; the pi0-products suite checks them against the clopen
+scan of oracles.py, and the tests against an oracle that searches for
+two-block clopen partitions.
+
+The catalog ``iter_topologies(n)`` lists every topology on n labeled points
+once, in increasing order of the tuple (N(0), ..., N(n-1)).  Its
+enumeration applies each Alexandrov constraint (y in N(x) => N(y) <= N(x))
+once while choosing the N(x), so the spaces it yields are not validated
+again; ``space_from_min_nbhds`` validates assignments that come from
+elsewhere (``product_space``, callers).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .records import Record
@@ -86,7 +95,10 @@ class FinSpace(Record):
         return FinSpace(points, tuple(nbhds))
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def discrete(points: int) -> "FinSpace":
+        """The discrete space on ``points`` points; spaces are immutable, so
+        pi0 and the spectrum share one per point count."""
         return FinSpace(points, tuple(1 << x for x in range(points)))
 
     @property
@@ -122,18 +134,24 @@ def space_from_min_nbhds(nbhds: Sequence[int]) -> FinSpace:
 def components(space: FinSpace) -> tuple[int, ...]:
     """Class index per point; classes are numbered by their smallest member.
 
-    Every point of N(x) is comparable with x, so the classes are found by
-    merging the neighbourhoods that meet."""
-    classes: list[int] = []
-    for nx in space.nbhds:
-        for c in [c for c in classes if c & nx]:
-            classes.remove(c)
-            nx |= c
-        classes.append(nx)
-    label = [0] * space.points
-    for i, c in enumerate(sorted(classes, key=lambda c: c & -c)):
-        for x in bits(c):
-            label[x] = i
+    Every point of N(y) is comparable with y, so the class of x is grown
+    from N(x) by joining every N(y) that meets it, until a round adds
+    nothing; the points are visited in order, so each new class starts at
+    its smallest member."""
+    nbhds = space.nbhds
+    label = [-1] * space.points
+    count = 0
+    for x, grown in enumerate(nbhds):
+        if label[x] < 0:
+            previous = 0
+            while grown != previous:
+                previous = grown
+                for ny in nbhds:
+                    if ny & grown:
+                        grown |= ny
+            for y in bits(grown):
+                label[y] = count
+            count += 1
     return tuple(label)
 
 
@@ -200,35 +218,59 @@ def gamma_compare(a: FinSpace, b: FinSpace) -> ProductComparison:
 
 def iter_min_nbhd_assignments(n: int) -> Iterator[tuple[int, ...]]:
     """All Alexandrov minimal-neighbourhood assignments on n labeled points
-    (equivalently, all topologies).  Incremental consistency pruning."""
-    subsets_containing = [[s for s in range(1 << n) if s & (1 << x)] for x in range(n)]
+    (equivalently, all topologies), in increasing tuple order.
 
-    def rec(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        x = len(prefix)
-        if x == n:
-            yield tuple(prefix)
-            return
-        for cand in subsets_containing[x]:
-            ok = True
-            for y in range(x):
-                if cand & (1 << y) and prefix[y] & ~cand:
-                    ok = False
-                    break
-                if prefix[y] & (1 << x) and cand & ~prefix[y]:
-                    ok = False
-                    break
-            if ok:
-                prefix.append(cand)
-                yield from rec(prefix)
-                prefix.pop()
+    N(0), N(1), ... are chosen in turn.  For point x, the earlier points y
+    with x in N(y) need N(x) <= N(y), so N(x) ranges over the submasks of
+    the intersection of those N(y) that contain x, in increasing order; a
+    candidate is kept when it contains N(y) for each earlier y inside it.
+    The later points check their pairs with x when they are chosen, so
+    every pair is checked once and every yielded tuple is Alexandrov."""
+    if n == 0:
+        yield ()
+        return
+    full = (1 << n) - 1
+    nbhds = [0] * n
 
-    yield from rec([])
+    def rec(x: int) -> Iterator[tuple[int, ...]]:
+        bit = 1 << x
+        bound = full
+        for ny in nbhds[:x]:
+            if ny & bit:
+                bound &= ny
+        free = bound ^ bit
+        below = bit - 1
+        last = x + 1 == n
+        sub = 0
+        while True:
+            cand = sub | bit
+            inside = cand & below
+            while inside:
+                low = inside & -inside
+                if nbhds[low.bit_length() - 1] & ~cand:
+                    break
+                inside ^= low
+            else:
+                nbhds[x] = cand
+                if last:
+                    yield tuple(nbhds)
+                else:
+                    yield from rec(x + 1)
+            if sub == free:
+                break
+            sub = (sub - free) & free  # the next submask of free
+
+    yield from rec(0)
 
 
 def iter_topologies(n: int) -> Iterator[FinSpace]:
-    """All topologies on n labeled points (1, 1, 4, 29, 355, 6942, ... spaces)."""
+    """All topologies on n labeled points (1, 1, 4, 29, 355, 6942, ...
+    spaces), in the order of ``iter_min_nbhd_assignments``.  Each
+    assignment is Alexandrov by construction, so the spaces are built
+    directly; ``space_from_min_nbhds`` is the check for assignments from
+    elsewhere."""
     for nbhds in iter_min_nbhd_assignments(n):
-        yield space_from_min_nbhds(nbhds)
+        yield FinSpace(n, nbhds)
 
 
 def parse_space_json(obj) -> FinSpace:

@@ -110,11 +110,13 @@ def check_coproduct_universal(size: int, seed: int) -> tuple[str, dict]:
     Hom(A+B, C) -> Hom(A, C) x Hom(B, C) over the stated sweep."""
     summands = list(iter_finite_algebras(max_components=2, max_order=size))
     targets = list(iter_finite_algebras(max_components=2, max_order=2 * size))
+    # maps[i][t]: the component maps of Hom(summands[i], targets[t])
+    maps = [[[f.component_map for f in enumerate_homs(a, c)] for c in targets] for a in summands]
     triples = 0
-    for a in summands:
-        for b in summands:
+    for a, maps_a in zip(summands, maps):
+        for b, maps_b in zip(summands, maps):
             cop = coproduct_finite(a, b)
-            for c in targets:
+            for c, from_a, from_b in zip(targets, maps_a, maps_b):
                 pairs = set()
                 for h in enumerate_homs(cop.algebra, c):
                     key = (
@@ -124,12 +126,7 @@ def check_coproduct_universal(size: int, seed: int) -> tuple[str, dict]:
                     if key in pairs:
                         raise Violation(f"pairing not injective for {a}+{b} -> {c}")
                     pairs.add(key)
-                expected = {
-                    (f.component_map, g.component_map)
-                    for f in enumerate_homs(a, c)
-                    for g in enumerate_homs(b, c)
-                }
-                if pairs != expected:
+                if pairs != set(iproduct(from_a, from_b)):
                     raise Violation(f"pairing not surjective for {a}+{b} -> {c}")
                 triples += 1
     summary = f"{triples} triples (summands orders <= {size}, targets <= {2 * size}), pairing bijective"

@@ -294,6 +294,20 @@ class TestErrorHandling:
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
+        "key",
+        ["1000000000000000003", "1000000000000000001", "3317044064679887385961981", "9" * 4000],
+        ids=["prime-10^18+3", "composite-10^18+1", "the-primality-bound", "4000-digits"],
+    )
+    def test_large_prime_key_is_decided_at_once(self, capsys, key):
+        # prime keys are checked by Miller-Rabin, not by trial division
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "decompose", "--alg", '{"rational":{"kind":"supernatural","primes":{"%s":1}}}' % key
+        )
+        assert code in (0, 2) and "Traceback" not in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["decompose", "--alg", '{"finite":[' + "9" * 5000 + "]}"],

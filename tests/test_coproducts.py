@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from mvalg import (
     FiniteMV,
     Hom,
@@ -195,6 +197,38 @@ class TestRationalMembership:
             for q in range(1, 241):
                 expected = all(e <= bounds.get(p, 0) for p, e in factorize(q).items())
                 assert r.contains(Fraction(1, q)) == r.contains(Fraction(q - 1, q)) == expected
+
+
+class TestPrimeKeys:
+    """Prime keys are checked by Miller-Rabin, exact below PRIME_KEY_BOUND."""
+
+    def test_agrees_with_trial_division(self):
+        from mvalg.rationals import _is_prime, factorize
+
+        assert [n for n in range(1, 10**5 + 1) if _is_prime(n)] == [
+            n for n in range(1, 10**5 + 1) if factorize(n) == {n: 1}
+        ]
+
+    def test_rejects_strong_pseudoprimes(self):
+        from mvalg.rationals import _is_prime
+
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first nine primes
+        for n in (3215031751, 3825123056546413051):
+            assert not _is_prime(n)
+
+    def test_the_bound_is_the_first_number_the_bases_misjudge(self):
+        from mvalg.rationals import PRIME_KEY_BOUND, _is_prime
+
+        assert PRIME_KEY_BOUND == 1287836182261 * 2575672364521 and _is_prime(PRIME_KEY_BOUND)
+
+    def test_large_keys(self):
+        from mvalg.algebras import AlgebraError
+        from mvalg.rationals import PRIME_KEY_BOUND
+
+        assert RationalAlgebra.supernatural({10**18 + 3: 1}).exponents == ((10**18 + 3, 1),)
+        for key in (10**18 + 1, PRIME_KEY_BOUND):
+            with pytest.raises(AlgebraError):
+                RationalAlgebra.supernatural({key: 1})
 
 
 class TestPierceCoproduct:

@@ -87,6 +87,37 @@ def product_neighbourhoods_with_a_single_y(a, b):
     )
 
 
+def assignments_without_the_upper_bound(n):
+    """iter_min_nbhd_assignments checking each N(x) only against the earlier
+    points inside it, so N(x) may leave an earlier N(y) that holds x."""
+
+    def rec(prefix):
+        x = len(prefix)
+        if x == n:
+            yield tuple(prefix)
+            return
+        for cand in range(1 << n):
+            if cand >> x & 1 and all(not prefix[y] & ~cand for y in topology.bits(cand) if y < x):
+                yield from rec(prefix + [cand])
+
+    yield from rec([])
+
+
+def components_after_one_round(space):
+    """components growing each class for one round over the N(y) only."""
+    label = [-1] * space.points
+    count = 0
+    for x, grown in enumerate(space.nbhds):
+        if label[x] < 0:
+            for ny in space.nbhds:
+                if ny & grown:
+                    grown |= ny
+            for y in topology.bits(grown):
+                label[y] = count
+            count += 1
+    return tuple(label)
+
+
 MUTANTS = [  # (module, name, wrong, suite, size, the FAIL summary or a pattern it matches)
     pytest.param(
         coproducts, "lcm", max, "coproduct-universal", 3,
@@ -151,6 +182,17 @@ MUTANTS = [  # (module, name, wrong, suite, size, the FAIL summary or a pattern 
         topology, "product_space", product_neighbourhoods_with_a_single_y, "pi0-products", 4,
         "gamma not a homeomorphism for FinSpace(points=1, nbhds=(1,)) x FinSpace(points=2, nbhds=(1, 3))",
         id="product-neighbourhood-single-y",
+    ),
+    pytest.param(
+        topology, "iter_min_nbhd_assignments", assignments_without_the_upper_bound, "pi0-products", 4,
+        re.compile(r"TopologyError at topology\.py:\d+ in from_sets: "
+                   r"opens not closed under union/intersection"),
+        id="catalog-without-the-upper-bound",
+    ),
+    pytest.param(
+        verify, "components", components_after_one_round, "pi0-products", 4,
+        "components != quasi-components on FinSpace(points=4, nbhds=(1, 2, 6, 11))",
+        id="components-after-one-round",
     ),
 ]
 

@@ -129,6 +129,27 @@ class TestOpensFromNeighbourhoods:
             space_from_min_nbhds(nbhds)
 
 
+class TestCatalogOrder:
+    """The catalog lists each topology once, in increasing tuple order.  The
+    set of topologies on n points is fixed, so these facts pin the sequence."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_increasing_valid_and_complete(self, n):
+        assignments = list(iter_min_nbhd_assignments(n))
+        assert all(a < b for a, b in zip(assignments, assignments[1:]))
+        spaces = list(iter_topologies(n))
+        assert spaces == [FinSpace(n, a) for a in assignments]
+        assert spaces == [space_from_min_nbhds(a) for a in assignments]  # each passes the check
+        assert len(assignments) == [1, 1, 4, 29, 355, 6942][n]
+
+    def test_six_points(self):
+        previous, count = (), 0
+        for a in iter_min_nbhd_assignments(6):
+            assert previous < a
+            previous, count = a, count + 1
+        assert count == 209527
+
+
 class TestComponents:
     def test_discrete_three_singletons(self):
         assert components(FinSpace.discrete(3)) == (0, 1, 2)
