@@ -64,7 +64,7 @@ class FiniteMV(Record):
     def __init__(self, orders: Iterable[int] = ()):
         orders = tuple(orders)
         for m in orders:
-            if not isinstance(m, int) or m < 1:
+            if type(m) is not int or m < 1:  # a bool is not an order
                 raise AlgebraError(f"chain order must be a positive integer, got {m!r}")
         object.__setattr__(self, "orders", orders)
 
@@ -261,7 +261,7 @@ class Hom(Record):
         if len(component_map) != target.num_components:
             raise AlgebraError("component map must assign one source component per target component")
         for j, i in enumerate(component_map):
-            if not 0 <= i < source.num_components:
+            if type(i) is not int or not 0 <= i < source.num_components:  # a bool is not an index
                 raise AlgebraError(f"component map entry {i} out of range for {source}")
             if target.orders[j] % source.orders[i] != 0:
                 raise AlgebraError(

@@ -201,15 +201,12 @@ def cmd_rank(args) -> dict:
     raw = _load(args.elem, "--elem")
     if isinstance(algebra, FiniteMV):
         elem = parse_element(algebra, raw)
-    else:
-        coords = raw if isinstance(raw, list) else [raw]
-        elem = tuple(parse_fraction(c) for c in coords)
-        if isinstance(algebra, RationalAlgebra) and len(coords) == 1:
-            elem = elem[0]
+    else:  # one coordinate per rational factor; a bare fraction is one coordinate
+        elem = tuple(parse_fraction(c) for c in (raw if isinstance(raw, list) else [raw]))
     r = order_rank(algebra, elem)
     return {
         "algebra": algebra_to_json(algebra),
-        "element": [fraction_to_str(c) for c in (elem if isinstance(elem, tuple) else (elem,))],
+        "element": [fraction_to_str(c) for c in elem],
         "rank": r.rank,
         "factors": list(r.chain_orders),
         "subalgebra_size": r.subalgebra.size,

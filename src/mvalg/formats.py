@@ -45,6 +45,7 @@ def _is_int(value) -> bool:
 
 
 _FRACTION = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+_PRIME_KEY = re.compile(r"[1-9][0-9]*")
 
 
 def parse_fraction(text) -> Fraction:
@@ -110,10 +111,12 @@ def _parse_rational(obj) -> RationalAlgebra:
             raise FormatError(f"bad primes table {primes!r}")
         caps = {}
         for p, e in primes.items():
+            if not _PRIME_KEY.fullmatch(p):
+                raise FormatError(f"bad prime {p!r}: expected digits with no sign, space or leading zero")
             try:
                 prime = int(p)
-            except ValueError:
-                raise FormatError(f"bad prime {p!r}") from None
+            except ValueError as exc:  # int() refuses very long digit strings
+                raise FormatError(f"bad prime {p[:20]!r}...: {exc}") from None
             if e == "inf":
                 caps[prime] = INF
             elif _is_int(e) and e >= 0:

@@ -23,7 +23,7 @@ class SimplicialGroup(Record):
     def __init__(self, unit: Iterable[int]):
         unit = tuple(unit)
         for u in unit:
-            if not isinstance(u, int) or u < 1:
+            if type(u) is not int or u < 1:  # a bool is not a coordinate
                 raise AlgebraError(f"unit coordinates must be strictly positive, got {u!r}")
         object.__setattr__(self, "unit", unit)
 

@@ -10,6 +10,7 @@ specification is the whole rational interval.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import log10
 from typing import Iterator, Mapping
 
@@ -22,20 +23,32 @@ INF = float("inf")
 # (sys.get_int_max_str_digits), so no chain with a longer order is written out
 MAX_ORDER_DIGITS = 4300
 
+# factorize tries divisors up to this bound only, so an order with no small
+# factor costs one bounded loop and a composite cofactor is refused
+TRIAL_DIVISION_BOUND = 10**6
+
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (desk-scale inputs)."""
+    """Prime factorization by trial division up to TRIAL_DIVISION_BOUND.
+    What is left must be 1 or a prime below PRIME_KEY_BOUND, which
+    _is_prime decides; any other n is refused with AlgebraError."""
     if n < 1:
         raise AlgebraError(f"cannot factorize {n}")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
+    for d in chain((2,), range(3, TRIAL_DIVISION_BOUND + 1, 2)):
+        if d * d > n:
+            break  # what is left is 1 or a prime
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1
+    else:  # the divisors ran out below the square root of what is left
+        if n > 1 and (n >= PRIME_KEY_BOUND or not _is_prime(n)):
+            raise AlgebraError(
+                f"cannot factorize: trial division up to {TRIAL_DIVISION_BOUND} leaves a "
+                f"{len(str(n))}-digit cofactor that is not a prime below {PRIME_KEY_BOUND}"
+            )
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out[n] = 1
     return out
 
 
@@ -88,7 +101,7 @@ class RationalAlgebra(Record):
                     raise AlgebraError(f"prime key {p} is not below {PRIME_KEY_BOUND}, the bound of the primality test")
                 if not isinstance(p, int) or not _is_prime(p):
                     raise AlgebraError(f"{p!r} is not prime")
-                if e != INF and (not isinstance(e, int) or e < 0):
+                if e != INF and (type(e) is not int or e < 0):
                     raise AlgebraError(f"bad exponent {e!r} for prime {p}")
             pairs = tuple(sorted((p, e) for p, e in items.items() if e != 0))
         object.__setattr__(self, "exponents", pairs)
@@ -97,7 +110,7 @@ class RationalAlgebra(Record):
     @staticmethod
     def chain(n: int) -> "RationalAlgebra":
         """The finite chain with denominator n (admissible denominators: divisors of n)."""
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:  # a bool is not an order
             raise AlgebraError(f"chain order must be a positive integer, got {n!r}")
         return RationalAlgebra(factorize(n))
 

@@ -15,10 +15,6 @@ subclass follow its parent's.  Every record
 * prints as ``ClassName(field=value, ...)`` unless it defines its own
   ``__repr__``;
 * raises AttributeError on assignment or deletion.
-
-A class that needs a per-instance cache adds ``"__dict__"`` to its slots;
-a class that defines ``__eq__`` without ``__hash__`` is unhashable, as for
-any Python class.
 """
 
 from __future__ import annotations
@@ -52,10 +48,8 @@ class Record:
         super().__init_subclass__(**kwargs)
         if "__slots__" not in cls.__dict__:  # it would get a __dict__ and no fields
             raise TypeError(f"record class {cls.__name__} must declare __slots__")
-        own = tuple(name for name in cls.__dict__["__slots__"] if name != "__dict__")
-        cls._fields = cls._fields + own
-        if "__eq__" not in cls.__dict__:  # a class's own __eq__ is kept
-            cls.__eq__, cls.__hash__ = _eq_and_hash(cls._fields)
+        cls._fields = cls._fields + tuple(cls.__dict__["__slots__"])
+        cls.__eq__, cls.__hash__ = _eq_and_hash(cls._fields)
         # the slots' own setters, which bypass the __setattr__ below
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property
 from itertools import product as iproduct
 from math import lcm, prod
 from typing import Iterable, Mapping
@@ -39,6 +38,7 @@ from .algebras import (  # TermError and ParseError are re-exported
     FiniteMV,
     ParseError,
     TermError,
+    _chain,
     _join,
     _meet,
     _neg,
@@ -119,9 +119,14 @@ class Join(_BinaryTerm):
     __slots__ = ()
 
 
-_BINARY = {Join: ("v", 0), Meet: ("^", 1), Oplus: ("+", 2), Odot: ("*", 3)}
-_NEG_LEVEL = 4
-_ATOM_LEVEL = 5
+# The binary operators, loosest first: an operator's index is its precedence
+# level, which the parser and the printer both read from here.  Negation
+# binds tighter than any of them, and leaves and parentheses tighter still.
+_BINARY = ((Join, "v"), (Meet, "^"), (Oplus, "+"), (Odot, "*"))
+_LEVEL = {node: level for level, (node, _) in enumerate(_BINARY)}
+_SYMBOL = dict(_BINARY)
+_NEG_LEVEL = len(_BINARY)
+_ATOM_LEVEL = _NEG_LEVEL + 1
 
 
 # -- parser ---------------------------------------------------------------------
@@ -176,16 +181,17 @@ class _Parser:
             raise ParseError(f"expected {value!r}, got {tok[1]!r}", tok[2])
 
     def parse(self) -> Term:
-        t, _ = self.parse_join()
+        t, _ = self.parse_binary()
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
         return t
 
-    # Each parse_* method returns a subterm with its depth.  The whole term
-    # is at least as deep as the constructs still open around a subterm plus
-    # the subterm itself, so the budget is checked against that sum: on the
-    # way down at every '!' and '(', and on the way up at every binary node.
+    # parse_binary and parse_unary return a subterm with its depth.  The
+    # whole term is at least as deep as the constructs still open around a
+    # subterm plus the subterm itself, so the budget is checked against that
+    # sum: on the way down at every '!' and '(', and on the way up at every
+    # binary node.
 
     def _check_depth(self, depth: int, at: int) -> int:
         if self.enclosing + depth > MAX_TERM_DEPTH:
@@ -200,27 +206,18 @@ class _Parser:
         self.enclosing -= 1
         return t, depth + 1
 
-    def _binary(self, symbol: str, node, next_level) -> tuple[Term, int]:
-        t, depth = next_level()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] != symbol:
-                return t, depth
+    def parse_binary(self, level: int = 0) -> tuple[Term, int]:
+        """A left-associated run of the operator at ``level`` in _BINARY,
+        whose operands are parsed at the next tighter level."""
+        if level == len(_BINARY):
+            return self.parse_unary()
+        node, symbol = _BINARY[level]
+        t, depth = self.parse_binary(level + 1)
+        while (tok := self.peek()) is not None and tok[0] == "op" and tok[1] == symbol:
             self.take()
-            right, right_depth = next_level()
+            right, right_depth = self.parse_binary(level + 1)
             t, depth = node(t, right), self._check_depth(1 + max(depth, right_depth), tok[2])
-
-    def parse_join(self) -> tuple[Term, int]:
-        return self._binary("v", Join, self.parse_meet)
-
-    def parse_meet(self) -> tuple[Term, int]:
-        return self._binary("^", Meet, self.parse_sum)
-
-    def parse_sum(self) -> tuple[Term, int]:
-        return self._binary("+", Oplus, self.parse_product)
-
-    def parse_product(self) -> tuple[Term, int]:
-        return self._binary("*", Odot, self.parse_unary)
+        return t, depth
 
     def parse_unary(self) -> tuple[Term, int]:
         tok = self.peek()
@@ -234,7 +231,7 @@ class _Parser:
         return self.parse_leaf(), 1
 
     def _parenthesised(self) -> tuple[Term, int]:
-        inner = self.parse_join()
+        inner = self.parse_binary()
         self.expect(")")
         return inner
 
@@ -280,12 +277,7 @@ def term_to_str(term: Term) -> str:
     """Canonical rendering; parse(term_to_str(t)) == t."""
 
     def level(t: Term) -> int:
-        if isinstance(t, Neg):
-            return _NEG_LEVEL
-        for cls, (_, lvl) in _BINARY.items():
-            if isinstance(t, cls):
-                return lvl
-        return _ATOM_LEVEL
+        return _NEG_LEVEL if isinstance(t, Neg) else _LEVEL.get(type(t), _ATOM_LEVEL)
 
     def render(t: Term) -> str:
         if isinstance(t, Zero):
@@ -301,7 +293,7 @@ def term_to_str(term: Term) -> str:
             if level(t.arg) < _NEG_LEVEL:
                 inner = f"({inner})"
             return f"!{inner}"
-        sym, lvl = _BINARY[type(t)]
+        sym, lvl = _SYMBOL[type(t)], _LEVEL[type(t)]
         left, right = render(t.left), render(t.right)
         if level(t.left) < lvl:
             left = f"({left})"
@@ -342,13 +334,11 @@ class Subalgebra(Record):
     lists the components whose generator columns ``(g[i] for g in G)`` are
     equal, and the block carries the chain of order ``orders[b]``, the lcm
     of the denominators in its column.  The subalgebra is the product of
-    those chains, each copied onto the components of its block.  Equal
-    generated subalgebras compare equal whatever their generators; the
-    element set is computed once, on first use (hence the ``__dict__``)."""
+    those chains, each copied onto the components of its block, so equal
+    generated subalgebras are equal records whatever their generators."""
 
-    __slots__ = ("ambient", "generators", "blocks", "orders", "__dict__")
+    __slots__ = ("ambient", "blocks", "orders")
     ambient: FiniteMV
-    generators: tuple[Element, ...]
     blocks: tuple[tuple[int, ...], ...]
     orders: tuple[int, ...]
 
@@ -356,25 +346,15 @@ class Subalgebra(Record):
     def size(self) -> int:
         return prod(d + 1 for d in self.orders)
 
-    @cached_property
+    @property
     def elements(self) -> frozenset[Element]:
-        chains = [[Fraction(j, d) for j in range(d + 1)] for d in self.orders]
-        coords = [ZERO] * self.ambient.num_components
-        out = set()
-        for values in iproduct(*chains):
-            for block, v in zip(self.blocks, values):
-                for i in block:
-                    coords[i] = v
-            out.add(tuple(coords))
-        return frozenset(out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subalgebra)
-            and self.ambient == other.ambient
-            and self.blocks == other.blocks
-            and self.orders == other.orders
-        )
+        """The element set, built on each read: each component takes its
+        block's value."""
+        block_of = [0] * self.ambient.num_components
+        for b, block in enumerate(self.blocks):
+            for i in block:
+                block_of[i] = b
+        return frozenset(tuple([values[b] for b in block_of]) for values in iproduct(*map(_chain, self.orders)))
 
 
 def _columns(algebra: FiniteMV, gens: tuple[Element, ...]) -> dict[tuple, list[int]]:
@@ -395,7 +375,7 @@ def generated_subalgebra(algebra: FiniteMV, generators: Iterable[Element]) -> Su
     columns = _columns(algebra, gens)
     blocks = tuple(tuple(block) for block in columns.values())
     orders = tuple(lcm(*(c.denominator for c in column)) for column in columns)
-    return Subalgebra(algebra, gens, blocks, orders)
+    return Subalgebra(algebra, blocks, orders)
 
 
 class OrderRank(Record):

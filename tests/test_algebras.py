@@ -67,6 +67,11 @@ class TestOperations:
         assert TERMINAL.zero() == TERMINAL.one() == ()
         assert is_boolean(TERMINAL, ())
 
+    @pytest.mark.parametrize("orders", [[True], [2, False], [2.0], [0]])
+    def test_chain_orders_are_positive_integers(self, orders):
+        with pytest.raises(AlgebraError):
+            FiniteMV(orders)
+
 
 # candidates p/q with q <= 12 and -1 <= p/q <= 2, each Fraction once
 _CANDIDATES = sorted({Fraction(p, q) for q in range(1, 13) for p in range(-q, 2 * q + 1)})
@@ -272,6 +277,11 @@ class TestHoms:
     def test_divisibility_enforced(self):
         with pytest.raises(AlgebraError):
             Hom(L3, L2, [0])
+
+    @pytest.mark.parametrize("component_map", [[True], [False], [0.0]])
+    def test_component_map_entries_are_integers(self, component_map):
+        with pytest.raises(AlgebraError):
+            Hom(L2, L6, component_map)
 
     @pytest.mark.parametrize(
         "orders_a,orders_b",

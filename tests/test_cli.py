@@ -1,12 +1,18 @@
 """Wire formats and the command-line interface."""
 
+import contextlib
+import io
 import json
+import signal
 import subprocess
 import sys
 import time
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvalg import FiniteMV, INF, RationalAlgebra, SimplicialGroup
 from mvalg.cli import MAX_COPRODUCT_COMPONENTS, MAX_LISTED_COMPONENTS, main
@@ -64,6 +70,15 @@ class TestFormats:
         for bad in [{"finite": [0]}, {"rational": {"kind": "weird"}}, {"x": 1}, {}, 7]:
             with pytest.raises(FormatError):
                 parse_algebra(bad)
+
+
+# requests whose chain order, the prime 10^18 + 3, has no factor below the
+# trial-division bound
+HANG_REQUESTS = [
+    ["decompose", "--alg", '{"rational":{"kind":"chain","n":1000000000000000003}}'],
+    ["separable", "--alg", '{"finite":[1000000000000000003]}'],
+    ["separable", "--alg", '{"product":[{"kind":"chain","n":1000000000000000003}]}'],
+]
 
 
 def run_cli(capsys, *argv):
@@ -323,6 +338,39 @@ class TestErrorHandling:
         assert code == 2 and out == "" and err.startswith("error:") and "Traceback" not in err
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("argv", HANG_REQUESTS, ids=["decompose-chain", "separable-finite", "separable-product"])
+    def test_chain_order_with_no_small_factor_is_decided_at_once(self, capsys, argv):
+        # trial division stops at TRIAL_DIVISION_BOUND and Miller-Rabin
+        # decides the cofactor 10^18 + 3
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2) and "Traceback" not in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--alg", '{"rational":{"kind":"chain","n":%d}}' % (2 * 1000003 * 1000033)],
+            ["separable", "--alg", '{"finite":[%d]}' % (1000003 * 1000003)],
+        ],
+        ids=["two-primes-above-the-bound", "a-square-above-the-bound"],
+    )
+    def test_chain_order_trial_division_cannot_factor_exits_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "cannot factorize" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "primes",
+        ['{" 2":1}', '{"+2":1}', '{"02":1}', '{"2_0":1}', '{"\u0662":1}', '{"0":1}', '{"2":1,"02":2}'],
+        ids=["leading-space", "plus-sign", "leading-zero", "underscore", "arabic-indic-digit", "zero", "duplicate"],
+    )
+    def test_prime_key_must_be_plain_digits(self, capsys, primes):
+        alg = '{"rational":{"kind":"supernatural","primes":%s,"all":false}}' % primes
+        code, out, err = run_cli(capsys, "rank", "--alg", alg, "--elem", '"1/2"')
+        assert code == 2 and out == "" and err.startswith("error: bad prime")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -407,3 +455,117 @@ class TestDeterminism:
             capture_output=True,
         )
         assert result.returncode == 0
+
+
+# -- the exit-code contract under generated input -------------------------------------
+#
+# Every command gets each of its flags as the JSON of a generated value, as
+# raw text (mostly malformed JSON), or not at all.  The values mix the shapes
+# the wire formats expect with arbitrary JSON, and include integers of up to
+# 41 digits and orders with no small prime factor.
+
+_INTS = st.one_of(
+    st.integers(1, 12),
+    st.integers(-2, 13),
+    st.integers(-(10**40), 10**40),
+    st.sampled_from([10**18 + 3, 1000003 * 1000033, 2**89 - 1, 2**64]),
+)
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, st.floats(allow_nan=False), st.text(max_size=6))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+_FRACTIONS = st.one_of(
+    st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "1/6", "1/1000000000000000003"]),
+    st.from_regex(r"[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True),
+    _SCALARS,
+)
+_PRIME_KEYS = st.sampled_from(["2", "3", "5", "1000000000000000003", "02", "+2", "4"]) | st.text(max_size=3)
+_RATIONALS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("chain"), "n": _INTS}),
+    st.fixed_dictionaries({
+        "kind": st.just("supernatural"),
+        "primes": st.dictionaries(_PRIME_KEYS, st.just("inf") | _INTS, max_size=3),
+        "all": _SCALARS,
+    }),
+    _JSON,
+)
+_ORDERS = st.lists(_INTS, max_size=8)
+_ALGEBRAS = st.one_of(
+    st.lists(st.integers(1, 12), max_size=4).map(lambda orders: {"finite": orders}),
+    _ORDERS.map(lambda orders: {"finite": orders}),
+    _RATIONALS.map(lambda r: {"rational": r}),
+    st.lists(_RATIONALS, max_size=3).map(lambda rs: {"product": rs}),
+    st.tuples(_INTS, _ORDERS).map(lambda ru: {"simplicial": {"rank": ru[0], "unit": ru[1]}}),
+    _JSON,
+)
+_ELEMENTS = st.one_of(st.lists(_FRACTIONS, max_size=8), _FRACTIONS, _JSON)
+_ENVS = st.dictionaries(st.sampled_from(["x", "y", "v"]), _ELEMENTS, max_size=3) | _JSON
+_SPACES = st.fixed_dictionaries({"points": _INTS, "opens": st.lists(st.lists(_INTS, max_size=5), max_size=8)}) | _JSON
+_TERMS = st.text(alphabet="xyv01/23!+*^() ", max_size=40) | st.recursive(
+    st.sampled_from(["x", "y", "0", "1", "1/2", "1/3"]),
+    lambda inner: inner.map(lambda t: f"!{t}") | st.tuples(inner, st.sampled_from("v^+*"), inner).map(" ".join),
+    max_leaves=8,
+)
+
+FLAGS = {  # command -> its flags and the values they take
+    "eval": [("alg", _ALGEBRAS), ("term", _TERMS), ("env", _ENVS)],
+    "decompose": [("alg", _ALGEBRAS)],
+    "pierce": [("alg", _ALGEBRAS)],
+    "coproduct": [("alg", _ALGEBRAS), ("alg", _ALGEBRAS)],
+    "separable": [("alg", _ALGEBRAS)],
+    "subterminal": [("alg", _ALGEBRAS)],
+    "spec": [("alg", _ALGEBRAS), ("elem", _ELEMENTS)],
+    "rank": [("alg", _ALGEBRAS), ("elem", _ELEMENTS)],
+    "pi0": [("space", _SPACES)],
+    "gamma": [("alg", _ALGEBRAS)],
+}
+
+
+def _flag(name, values):
+    """``--name=VALUE`` (so a value may start with '-') with a generated
+    value three times in five, else with raw text or left out."""
+    text = values if name == "term" else values.map(json.dumps)
+    flag = st.one_of(text, text, text, st.text(max_size=12)).map(lambda value: [f"--{name}={value}"])
+    return st.one_of(flag, flag, flag, flag, st.just([]))
+
+
+_REQUESTS = st.sampled_from(sorted(FLAGS)).flatmap(
+    lambda command: st.tuples(*(_flag(name, values) for name, values in FLAGS[command])).map(
+        lambda flags: [command] + [arg for flag in flags for arg in flag]
+    )
+)
+
+
+class _Hang(Exception):
+    pass
+
+
+def _stop(signum, frame):
+    raise _Hang("request still running after 5 s")
+
+
+class TestExitCodeContract:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=timedelta(seconds=2))
+    @given(_REQUESTS)
+    @example(HANG_REQUESTS[0])
+    @example(HANG_REQUESTS[1])
+    @example(HANG_REQUESTS[2])
+    def test_generated_request_exits_0_with_json_or_2_with_an_error(self, argv):
+        # a hang surfaces as exit 3: main reports the _Hang the alarm raises
+        out, err = io.StringIO(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _stop)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue())
+        else:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: ")

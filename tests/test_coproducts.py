@@ -1,6 +1,7 @@
 """Coproducts, subterminality, separability, rational membership."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -199,14 +200,26 @@ class TestRationalMembership:
                 assert r.contains(Fraction(1, q)) == r.contains(Fraction(q - 1, q)) == expected
 
 
+def trial_division(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 class TestPrimeKeys:
     """Prime keys are checked by Miller-Rabin, exact below PRIME_KEY_BOUND."""
 
     def test_agrees_with_trial_division(self):
-        from mvalg.rationals import _is_prime, factorize
+        from mvalg.rationals import _is_prime
 
         assert [n for n in range(1, 10**5 + 1) if _is_prime(n)] == [
-            n for n in range(1, 10**5 + 1) if factorize(n) == {n: 1}
+            n for n in range(1, 10**5 + 1) if trial_division(n) == {n: 1}
         ]
 
     def test_rejects_strong_pseudoprimes(self):
@@ -229,6 +242,48 @@ class TestPrimeKeys:
         for key in (10**18 + 1, PRIME_KEY_BOUND):
             with pytest.raises(AlgebraError):
                 RationalAlgebra.supernatural({key: 1})
+
+
+class TestFactorize:
+    """Trial division up to TRIAL_DIVISION_BOUND; the cofactor left must be 1
+    or a prime that Miller-Rabin decides."""
+
+    def test_agrees_with_full_trial_division(self):
+        from mvalg.rationals import factorize
+
+        assert all(factorize(n) == trial_division(n) for n in range(1, 10**5 + 1))
+
+    def test_keeps_a_large_prime_cofactor(self):
+        from mvalg.rationals import factorize
+
+        assert factorize(2**3 * 1000003) == {2: 3, 1000003: 1}
+        assert factorize(12 * (10**18 + 3)) == {2: 2, 3: 1, 10**18 + 3: 1}
+
+    @pytest.mark.parametrize(
+        "primes",
+        [(1000003, 1000033), (1000003, 1000003), (1000003, 10**18 + 3), (2**89 - 1,)],
+        ids=["two-primes", "a-square", "a-prime-times-10^18+3", "a-prime-above-the-bound"],
+    )
+    def test_refuses_a_cofactor_it_cannot_decide(self, primes):
+        # every odd prime factor lies above the trial-division bound, and
+        # the cofactor is composite or too large for Miller-Rabin to decide
+        from mvalg.algebras import AlgebraError
+        from mvalg.rationals import factorize
+
+        n = 2 * prod(primes)
+        with pytest.raises(AlgebraError):
+            factorize(n)
+        with pytest.raises(AlgebraError):
+            RationalAlgebra.chain(n)
+
+    def test_chain_order_must_not_be_a_bool(self):
+        from mvalg.algebras import AlgebraError
+
+        for bad in (True, False):
+            with pytest.raises(AlgebraError):
+                RationalAlgebra.chain(bad)
+        with pytest.raises(AlgebraError):
+            RationalAlgebra.supernatural({2: True})
 
 
 class TestPierceCoproduct:

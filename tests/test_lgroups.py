@@ -24,6 +24,11 @@ class TestGamma:
         with pytest.raises(AlgebraError):
             SimplicialGroup([2, 0])
 
+    @pytest.mark.parametrize("unit", [[True, 2], [False], [2.0]])
+    def test_unit_coordinates_are_integers_not_bools(self, unit):
+        with pytest.raises(AlgebraError):
+            SimplicialGroup(unit)
+
 
 class TestXi:
     def test_examples(self):
