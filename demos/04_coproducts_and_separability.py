@@ -2,9 +2,11 @@
 Coproducts, subterminality, and the separability decision
 =========================================================
 
-The coproduct of finite products of chains is an lcm grid; comparing the two
-injections decides subterminality, and a Boolean complement of the
-codiagonal kernel certifies separability.
+The coproduct of finite products of chains is an lcm grid.  Subterminality
+means equal injections into A + A, which on this class is exactly a single
+chain, so it is read off the chain orders; the separable factors are the
+chains themselves, and a Boolean complement of the codiagonal kernel
+certifies separability.
 """
 
 from mvalg import (
@@ -27,7 +29,8 @@ cop = coproduct_finite(A, A)
 print("[2,3] + [2,3] =", cop.algebra, "grid:", cop.grid)
 print("in0:", cop.in0.component_map, " in1:", cop.in1.component_map)
 
-# equal injections characterize the single chains (subterminal objects)
+# the injections agree exactly on the single chains (the subterminal
+# objects), so is_subterminal_epic reads the answer off the chain orders
 for alg in [FiniteMV([6]), A, FiniteMV([])]:
     print("subterminal", alg, "->", is_subterminal_epic(alg))
 
@@ -36,7 +39,7 @@ cert = separability_witness(A)
 print("\nwitness in A+A:", cert.witness)
 print("codiagonal leg of the split:", cert.split.part1, "(the algebra itself)")
 
-# the decomposition route produces the rational factors directly
+# the separable factors are the chains of A, embedded in the rationals
 result = is_separable(A)
 print("separable:", result.separable, "factors:", result.factors)
 

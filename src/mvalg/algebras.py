@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from math import prod
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .records import Record
 
@@ -66,7 +66,7 @@ class FiniteMV(Record):
         for m in orders:
             if type(m) is not int or m < 1:  # a bool is not an order
                 raise AlgebraError(f"chain order must be a positive integer, got {m!r}")
-        object.__setattr__(self, "orders", orders)
+        self._setters[0](self, orders)
 
     @property
     def num_components(self) -> int:
@@ -88,9 +88,7 @@ class FiniteMV(Record):
 
     def atom(self, i: int) -> Element:
         """The Boolean element that is 1 on component i and 0 elsewhere."""
-        if not 0 <= i < len(self.orders):
-            raise AlgebraError(f"no component {i} in {self}")
-        return tuple(ONE if j == i else ZERO for j in range(len(self.orders)))
+        return _indicator(len(self.orders), _components(self, (i,)))
 
     def chain(self, i: int) -> list[Fraction]:
         return list(_chain(self.orders[i]))
@@ -157,6 +155,22 @@ class FiniteMV(Record):
 def _chain(m: int) -> tuple[Fraction, ...]:
     """The chain of order m, 0, 1/m, ..., 1, indexed by numerator."""
     return tuple(Fraction(j, m) for j in range(m + 1))
+
+
+def _components(algebra: FiniteMV, indices: Iterable) -> frozenset[int]:
+    """The given indices, each checked to be a component of algebra: an int
+    in range, and not a bool or another int subclass."""
+    k = len(algebra.orders)
+    indices = tuple(indices)
+    for i in indices:
+        if type(i) is not int or not 0 <= i < k:
+            raise AlgebraError(f"{i!r} is not a component of {algebra}")
+    return frozenset(indices)
+
+
+def _indicator(k: int, ones: frozenset[int]) -> Element:
+    """The Boolean element of k components that is 1 exactly on ones."""
+    return tuple(ONE if i in ones else ZERO for i in range(k))
 
 
 # -- coordinatewise operations ------------------------------------------------
@@ -258,19 +272,18 @@ class Hom(Record):
 
     def __init__(self, source: FiniteMV, target: FiniteMV, component_map: Iterable[int]):
         component_map = tuple(component_map)
-        if len(component_map) != target.num_components:
+        m, n = source.orders, target.orders
+        if len(component_map) != len(n):
             raise AlgebraError("component map must assign one source component per target component")
         for j, i in enumerate(component_map):
-            if type(i) is not int or not 0 <= i < source.num_components:  # a bool is not an index
+            if type(i) is not int or not 0 <= i < len(m):  # a bool is not an index
                 raise AlgebraError(f"component map entry {i} out of range for {source}")
-            if target.orders[j] % source.orders[i] != 0:
-                raise AlgebraError(
-                    f"order {source.orders[i]} does not divide {target.orders[j]} "
-                    f"(source component {i} -> target component {j})"
-                )
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "component_map", component_map)
+            if n[j] % m[i]:
+                raise AlgebraError(f"order {m[i]} does not divide {n[j]} (source component {i} -> target component {j})")
+        set_source, set_target, set_map = self._setters
+        set_source(self, source)
+        set_target(self, target)
+        set_map(self, component_map)
 
     def __call__(self, x: Element) -> Element:
         return self._apply(self.source.check(x))
@@ -331,20 +344,15 @@ class Ideal(Record):
     vanishing: frozenset[int]
 
     def __init__(self, ambient: FiniteMV, vanishing: Iterable[int]):
-        vanishing = frozenset(vanishing)
-        k = ambient.num_components
-        if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < k for i in vanishing):
-            raise AlgebraError(f"vanishing set {set(vanishing)} is not a set of components of {ambient}")
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "vanishing", vanishing)
+        object.__setattr__(self, "vanishing", _components(ambient, vanishing))
 
     @staticmethod
     def generated_by(ambient: FiniteMV, generators: Iterable[Element]) -> "Ideal":
-        gens = [ambient.check(g) for g in generators]
-        vanishing = set(range(ambient.num_components))
-        for g in gens:
-            vanishing &= {i for i, c in enumerate(g) if c == ZERO}
-        return Ideal(ambient, vanishing)
+        """The ideal vanishing where every generator is 0 (the one place a
+        vanishing set is computed from elements)."""
+        nonzero = {i for g in generators for i, c in enumerate(ambient.check(g)) if c}
+        return Ideal(ambient, [i for i in range(ambient.num_components) if i not in nonzero])
 
     @staticmethod
     def principal(ambient: FiniteMV, a: Element) -> "Ideal":
@@ -372,9 +380,14 @@ def quotient_by_ideal(algebra: FiniteMV, ideal: Ideal) -> tuple[FiniteMV, Hom]:
     they agree on I's vanishing components, so the quotient keeps those."""
     if ideal.ambient != algebra:
         raise AlgebraError(f"{ideal!r} is not an ideal of {algebra}")
-    kept = sorted(ideal.vanishing)
-    q_alg = FiniteMV(algebra.orders[i] for i in kept)
-    return q_alg, Hom(algebra, q_alg, kept)
+    return _projection(algebra, sorted(ideal.vanishing))
+
+
+def _projection(algebra: FiniteMV, kept: Sequence[int]) -> tuple[FiniteMV, Hom]:
+    """The product of the kept components, in the listed order, and the
+    projection onto it: every quotient, split leg and chain factor."""
+    part = FiniteMV([algebra.orders[i] for i in kept])
+    return part, Hom(algebra, part, kept)
 
 
 def localize(algebra: FiniteMV, x: Element) -> tuple[FiniteMV, Hom]:
@@ -424,6 +437,4 @@ def product_split(algebra: FiniteMV, x: Element) -> ProductSplit:
     kept0, kept1 = [], []
     for i, c in enumerate(x):  # every c is 0 or 1
         (kept1 if c else kept0).append(i)
-    part0 = FiniteMV(algebra.orders[i] for i in kept0)
-    part1 = FiniteMV(algebra.orders[i] for i in kept1)
-    return ProductSplit(algebra, x, part0, Hom(algebra, part0, kept0), part1, Hom(algebra, part1, kept1))
+    return ProductSplit(algebra, x, *_projection(algebra, kept0), *_projection(algebra, kept1))

@@ -10,11 +10,13 @@ A+B needs no code of its own: its atoms are the k_A * k_B meets
 in0(atom_i) /\\ in1(atom_j), one per grid cell, which is the Boolean
 coproduct of the parts (the pierce-coproducts suite checks it).
 
-Separability is decided through the codiagonal: an algebra is separable
-exactly when ker(codiagonal) is generated by the negation of a Boolean
-element e of A+A, which then splits A+A as A x (A+A)/<e> with the codiagonal
-as the first projection.  The codiagonal reads the diagonal cells (i, i), so
-e is their indicator, given in closed form.
+Subterminality and the separable factors are read off the chain orders (a
+single chain; the chains L_mi of L_m1 x ... x L_mk); the subterminal and
+separability suites check them against A + A and ``decompose``.  The witness
+of separability is a Boolean e of A+A with ker(codiagonal) = <not e>, which
+splits A+A as A x (A+A)/<e> with the codiagonal as the first projection.
+The codiagonal reads the diagonal cells (i, i), cell i * (k + 1) of the
+grid, so e is their indicator, given in closed form.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .algebras import (
     _neg,
     product_split,
 )
-from .pierce import chi, decompose, holder_embed
+from .pierce import chi
 from .rationals import RationalAlgebra
 from .records import Record
 
@@ -56,8 +58,8 @@ def coproduct_finite(a: FiniteMV, b: FiniteMV) -> CoproductResult:
     in1 = Hom(b, algebra, (j for _, j in grid))
     codiag = None
     if a == b:
-        # nabla o in0 = nabla o in1 = id forces component i to read the (i, i) cell
-        codiag = Hom(algebra, a, (grid.index((i, i)) for i in range(a.num_components)))
+        # nabla o in0 = nabla o in1 = id forces component i to read cell (i, i): i * (k + 1)
+        codiag = Hom(algebra, a, range(0, len(grid), a.num_components + 1))
     return CoproductResult(algebra, in0, in1, codiag, grid)
 
 
@@ -68,17 +70,12 @@ def coproduct_rational(a: RationalAlgebra, b: RationalAlgebra) -> RationalAlgebr
 
 
 def is_subterminal_epic(algebra: FiniteMV | RationalAlgebra) -> bool:
-    """Whether the unique map from the initial algebra is epic, decided by
-    computing A + A and comparing the injections; the trivial algebra is
-    excluded."""
-    if isinstance(algebra, RationalAlgebra):
-        # A + A = A with both injections the identity; rational algebras are
-        # never trivial
-        return coproduct_rational(algebra, algebra) == algebra
-    if algebra.is_terminal:
-        return False
-    cop = coproduct_finite(algebra, algebra)
-    return cop.in0 == cop.in1
+    """Whether the unique map from the initial algebra is epic: the two
+    injections into A + A agree, and A is not trivial.  Rational algebras
+    have A + A = A.  On k chains, in0 and in1 read components i and j at cell
+    (i, j), so they agree exactly when k = 1: a hom out of L_m has no choice
+    of source component."""
+    return isinstance(algebra, RationalAlgebra) or algebra.num_components == 1
 
 
 class SeparabilityCertificate(Record):
@@ -123,16 +120,16 @@ class SeparabilityResult(Record):
 def is_separable(
     algebra: FiniteMV | RationalAlgebra | Sequence[RationalAlgebra],
 ) -> SeparabilityResult:
-    """Decide separability and produce the rational factors.  Finite algebras
-    are split into chains and embedded; a product of rational algebras is
-    already its own factorization.  (Every representable algebra is
-    separable; the decision procedure is cross-checked against the witness
-    in the tests.)"""
+    """Decide separability and produce the rational factors.  A finite
+    product of chains L_m1 x ... x L_mk has the chains L_mi, embedded in
+    [0,1] ∩ Q, as its factors; a product of rational algebras is already its
+    own factorization.  (Every representable algebra is separable; the
+    separability suite compares the factors with ``decompose`` followed by
+    ``holder_embed``, and the tests compare the verdict with the witness.)"""
     if isinstance(algebra, RationalAlgebra):
         return SeparabilityResult(True, (algebra,))
     if isinstance(algebra, FiniteMV):
-        factors = tuple(holder_embed(f) for f in decompose(algebra).factors)
-        return SeparabilityResult(True, factors)
+        return SeparabilityResult(True, tuple(RationalAlgebra.chain(m) for m in algebra.orders))
     factors = tuple(algebra)
     if not all(isinstance(f, RationalAlgebra) for f in factors):
         raise AlgebraError(f"{algebra!r} is not a representable algebra")

@@ -39,6 +39,13 @@ class FormatError(ValueError):
     """Malformed wire-format input."""
 
 
+# each chain factor of a {"product": [...]} is factorized on its own, about
+# 0.03 s for an order with no prime factor below the trial-division bound, so
+# a longer product is refused before any factor is parsed (16 is also
+# cli.MAX_LISTED_COMPONENTS)
+MAX_PRODUCT_FACTORS = 16
+
+
 def _is_int(value) -> bool:
     """A JSON integer; true and false are bools, which Python counts as ints."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -151,6 +158,8 @@ def parse_algebra(obj):
     if key == "product":
         if not isinstance(value, list):
             raise FormatError(f"bad product {value!r}")
+        if len(value) > MAX_PRODUCT_FACTORS:
+            raise FormatError(f"a product of {len(value)} factors; at most {MAX_PRODUCT_FACTORS} are accepted")
         return [
             _parse_rational(item["rational"]) if isinstance(item, dict) and set(item) == {"rational"} else _parse_rational(item)
             for item in value

@@ -3,10 +3,11 @@
 On finite products of chains every prime ideal is a coordinate kernel
 {a : a_i = 0}, the prime and maximal spectra coincide, and the hull-kernel
 topology is discrete; a point of the spectrum is therefore its component
-index, and loci, supports and clopens are sets of indices (the discrete space
-is emitted for the topology module to consume).  Boolean elements are exactly
-the 0/1 coordinate vectors, which the prime-residue criterion re-derives
-independently.
+index.  Loci, supports and clopens are sets of indices, read from
+``Ideal.generated_by``; a Boolean element is the indicator of one, the 0/1
+coordinate vector, which the prime-residue criterion re-derives
+independently; the factors of ``decompose`` are the one-component
+projections.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .algebras import (
     FiniteMV,
     Hom,
     Ideal,
+    _components,
+    _indicator,
+    _projection,
     is_boolean,
 )
 from .rationals import RationalAlgebra
@@ -69,54 +73,39 @@ def spectrum_space(algebra: FiniteMV) -> FinSpace:
 
 
 def vanishing_locus(algebra: FiniteMV, elems: Iterable[Element]) -> frozenset[int]:
-    """V(S): the primes containing every element of S."""
-    elems = [algebra.check(a) for a in elems]
-    return frozenset(i for i in range(algebra.num_components) if all(a[i] == ZERO for a in elems))
+    """V(S): the primes containing S, the vanishing set of the ideal it generates."""
+    return Ideal.generated_by(algebra, elems).vanishing
 
 
 def support(algebra: FiniteMV, a: Element) -> frozenset[int]:
     """Su(a): the complement of V(a)."""
-    return frozenset(i for i, c in enumerate(algebra.check(a)) if c != ZERO)
-
-
-def _indices(algebra: FiniteMV, points: Iterable) -> frozenset[int]:
-    """The given spectrum points, each checked to be a component index (an
-    int, not a bool, in range)."""
-    out = set()
-    for i in points:
-        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < algebra.num_components:
-            raise AlgebraError(f"{i!r} is not a spectrum point of {algebra}")
-        out.add(i)
-    return frozenset(out)
-
-
-def _indicator(k: int, zero_on: frozenset[int]) -> Element:
-    return tuple(ZERO if i in zero_on else ONE for i in range(k))
+    return frozenset(range(algebra.num_components)) - Ideal.principal(algebra, a).vanishing
 
 
 def phi(algebra: FiniteMV, b: Element) -> frozenset[int]:
     """The clopen V(b) attached to a Boolean element."""
     if not is_boolean(algebra, b):
         raise AlgebraError(f"{b!r} is not Boolean in {algebra}")
-    return frozenset(i for i, c in enumerate(b) if c == ZERO)
+    return Ideal.principal(algebra, b).vanishing
 
 
 def chi(algebra: FiniteMV, zero_on: Iterable[int]) -> Element:
     """The Boolean element with residue 0 on the given clopen and 1 off it;
     inverse to phi."""
-    return _indicator(algebra.num_components, _indices(algebra, zero_on))
+    k = algebra.num_components
+    return _indicator(k, frozenset(range(k)) - _components(algebra, zero_on))
 
 
 def chinese_boolean(algebra: FiniteMV, zero_part: Iterable[int], one_part: Iterable[int]) -> Element:
     """The unique Boolean element vanishing on one closed part of a partition
     of the spectrum and equal to 1 on the other: ``chi`` of the zero part.
     It is unique because a Boolean element is fixed by its residues."""
-    z = _indices(algebra, zero_part)
-    o = _indices(algebra, one_part)
+    z = _components(algebra, zero_part)
+    o = _components(algebra, one_part)
     k = algebra.num_components
     if z | o != frozenset(range(k)) or z & o:
         raise AlgebraError("the two parts must partition the spectrum")
-    return _indicator(k, z)
+    return _indicator(k, o)
 
 
 def _is_boolean_via_primes(orders: tuple[int, ...], k: Code) -> bool:
@@ -144,12 +133,11 @@ class Decomposition(Record):
 def decompose(algebra: FiniteMV) -> Decomposition:
     """Split along the atoms of the Boolean skeleton into chains.  The
     projections jointly exhibit the algebra as the product of the factors."""
-    factors = []
-    projections = []
+    factors, projections = [], []
     for i in range(algebra.num_components):
-        factor = FiniteMV((algebra.orders[i],))
+        factor, projection = _projection(algebra, (i,))
         factors.append(factor)
-        projections.append(Hom(algebra, factor, (i,)))
+        projections.append(projection)
     return Decomposition(tuple(factors), tuple(projections))
 
 

@@ -6,7 +6,9 @@ subclass follow its parent's.  Every record
 * is built positionally, ``FinSpace(points, nbhds)``, by the generic
   ``__init__`` below or by a hand-written one that sets its fields with
   ``object.__setattr__`` (the constructors called once per swept item write
-  their own, which is faster than the generic loop);
+  their own, which is faster than the generic loop; ``FiniteMV`` and
+  ``Hom``, built for every projection and hom, call the slots' own setters
+  in ``_setters``, which is faster again);
 * compares equal only to a record of the same class with equal fields (a
   different class gives ``NotImplemented``), through an ``__eq__`` and a
   ``__hash__`` made for its class from its fields;

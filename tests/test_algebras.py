@@ -41,6 +41,10 @@ def frac(s):
     return Fraction(s)
 
 
+class _Index(int):
+    """An int subclass, which is not a component index."""
+
+
 class TestOperations:
     def test_oplus_clips_at_one(self):
         assert oplus(L6, L6.element(["1/2"]), L6.element(["1/3"])) == (frac("5/6"),)
@@ -71,6 +75,14 @@ class TestOperations:
     def test_chain_orders_are_positive_integers(self, orders):
         with pytest.raises(AlgebraError):
             FiniteMV(orders)
+
+    @pytest.mark.parametrize(
+        "i", [True, False, _Index(0), 0.0, 2, -1], ids=["true", "false", "int-subclass", "float", "2", "-1"]
+    )
+    def test_atom_index_is_a_component(self, i):
+        # the index rule of Ideal, chi and chinese_boolean; atom(True) was atom 1
+        with pytest.raises(AlgebraError):
+            A23.atom(i)
 
 
 # candidates p/q with q <= 12 and -1 <= p/q <= 2, each Fraction once
@@ -354,7 +366,7 @@ class TestIdealsAndQuotients:
         assert localize(A23, A23.one())[0] == A23
         assert localize(A23, A23.zero())[0] == TERMINAL
 
-    @pytest.mark.parametrize("vanishing", [[True], [False], [0.0], [2], [-1]])
+    @pytest.mark.parametrize("vanishing", [[True], [False], [0.0], [2], [-1], [_Index(0)]])
     def test_ideal_rejects_what_is_not_a_component(self, vanishing):
         with pytest.raises(AlgebraError):
             Ideal(A23, vanishing)

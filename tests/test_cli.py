@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from mvalg import FiniteMV, INF, RationalAlgebra, SimplicialGroup
 from mvalg.cli import MAX_COPRODUCT_COMPONENTS, MAX_LISTED_COMPONENTS, main
 from mvalg.formats import (
+    MAX_PRODUCT_FACTORS,
     FormatError,
     algebra_to_json,
     element_to_json,
@@ -25,6 +26,8 @@ from mvalg.formats import (
     parse_element,
     parse_fraction,
 )
+from mvalg.rationals import _is_prime
+from mvalg.verify import CRITERIA
 
 
 class TestFormats:
@@ -79,6 +82,20 @@ HANG_REQUESTS = [
     ["separable", "--alg", '{"finite":[1000000000000000003]}'],
     ["separable", "--alg", '{"product":[{"kind":"chain","n":1000000000000000003}]}'],
 ]
+
+
+# the first primes above 10^18, as many as a product may have factors;
+# trial division finds no factor of any of them
+LARGE_PRIMES = [p for p in range(10**18, 10**18 + 2000) if _is_prime(p)][:MAX_PRODUCT_FACTORS]
+
+
+def large_prime_product(count):
+    return json.dumps({"product": [{"kind": "chain", "n": LARGE_PRIMES[i % len(LARGE_PRIMES)]} for i in range(count)]})
+
+
+# its A + A would have 4,000,000 components, so subterminality must be read
+# off the chain orders
+SUBTERMINAL_2000 = ["subterminal", "--alg", json.dumps({"finite": [2] * 2000})]
 
 
 def run_cli(capsys, *argv):
@@ -361,6 +378,31 @@ class TestErrorHandling:
         assert code == 2 and out == "" and "cannot factorize" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_product_over_the_factor_budget_exits_2_before_any_factorization(self, capsys, monkeypatch):
+        from mvalg import rationals
+
+        def factorize(n):
+            raise AssertionError("a factor was factorized")
+
+        monkeypatch.setattr(rationals, "factorize", factorize)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "separable", "--alg", large_prime_product(MAX_PRODUCT_FACTORS + 1))
+        assert code == 2 and out == "" and err.startswith(f"error: a product of {MAX_PRODUCT_FACTORS + 1} factors")
+        assert time.perf_counter() - start < 1.0
+
+    def test_product_at_the_factor_budget_is_accepted_in_under_a_second(self, capsys):
+        assert MAX_PRODUCT_FACTORS == MAX_LISTED_COMPONENTS == len(set(LARGE_PRIMES))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "separable", "--alg", large_prime_product(MAX_PRODUCT_FACTORS))
+        assert code == 0 and [f["rational"]["n"] for f in json.loads(out)["factors"]] == LARGE_PRIMES
+        assert time.perf_counter() - start < 1.0
+
+    def test_subterminal_on_2000_components_is_read_off_the_orders(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *SUBTERMINAL_2000)
+        assert code == 0 and json.loads(out)["subterminal"] is False
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize(
         "primes",
         ['{" 2":1}', '{"+2":1}', '{"02":1}', '{"2_0":1}', '{"\u0662":1}', '{"0":1}', '{"2":1,"02":2}'],
@@ -531,11 +573,78 @@ def _flag(name, values):
     return st.one_of(flag, flag, flag, flag, st.just([]))
 
 
-_REQUESTS = st.sampled_from(sorted(FLAGS)).flatmap(
-    lambda command: st.tuples(*(_flag(name, values) for name, values in FLAGS[command])).map(
-        lambda flags: [command] + [arg for flag in flags for arg in flag]
+# verify runs only these suites, at sizes up to 3, where each takes well
+# under 0.1 s; every other verify request must be refused before a suite runs
+_CHEAP_SUITES = ["subterminal", "simplicial-roundtrip", "separability", "pierce-coproducts"]
+_UNKNOWN_SUITES = st.from_regex(r"[a-z][a-z0-9-]{0,12}", fullmatch=True).filter(lambda name: name not in CRITERIA)
+_LARGEST_SIZE = max(maximum for _, _, _, maximum in CRITERIA.values())
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# no suite accepts these: below every minimum, above every maximum, or not an
+# integer at all (argparse's usage error)
+_BAD_SIZES = st.one_of(
+    st.integers(max_value=0).map(str),
+    st.integers(min_value=_LARGEST_SIZE + 1).map(str),
+    st.text(max_size=4).filter(_not_an_int),
+)
+
+
+def _mostly(valid, junk):
+    """Draws from valid three times in four, else from junk."""
+    return st.sampled_from([valid, valid, valid, junk]).flatmap(lambda values: values)
+
+
+_SEEDS = _mostly(st.integers(-(10**6), 10**6).map(str), st.text(max_size=4))  # junk: argparse's usage error
+
+
+@st.composite
+def _verify_requests(draw):
+    """verify with known and unknown names, with sizes in range, out of range
+    or not integers, and with seeds."""
+    case = draw(st.sampled_from(["run", "run", "bad-size", "unknown-name"]))
+    if case == "run":
+        names = draw(st.lists(st.sampled_from(_CHEAP_SUITES), min_size=1, max_size=2, unique=True))
+        size = str(draw(st.integers(1, 3)))
+    else:
+        names = draw(st.lists(st.sampled_from(sorted(CRITERIA)) | _UNKNOWN_SUITES, max_size=2))
+        if case == "bad-size":
+            names += draw(st.sampled_from([[], ["--all"]]))
+            size = draw(_BAD_SIZES)
+        else:
+            names.insert(draw(st.integers(0, len(names))), draw(_UNKNOWN_SUITES))
+            size = draw(st.none() | st.integers(-3, _LARGEST_SIZE + 3).map(str))
+    seed = draw(st.none() | _SEEDS)
+    argv = ["verify", *names] + ([] if size is None else [f"--max-size={size}"])
+    return argv + ([] if seed is None else [f"--seed={seed}"])
+
+
+# the format flag: absent, json or text, else junk (argparse's usage error)
+_FORMATS = _mostly(
+    st.sampled_from([[], ["--format=json"], ["--format=text"]]),
+    st.text(max_size=5).map(lambda junk: [f"--format={junk}"]),
+)
+
+
+def _with_format(requests):
+    return st.tuples(requests, _FORMATS).map(lambda request: request[0] + request[1])
+
+
+_REQUESTS = _with_format(
+    st.sampled_from(sorted(FLAGS)).flatmap(
+        lambda command: st.tuples(*(_flag(name, values) for name, values in FLAGS[command])).map(
+            lambda flags: [command] + [arg for flag in flags for arg in flag]
+        )
     )
 )
+_VERIFY_REQUESTS = _with_format(_verify_requests())
 
 
 class _Hang(Exception):
@@ -552,20 +661,41 @@ class TestExitCodeContract:
     @example(HANG_REQUESTS[0])
     @example(HANG_REQUESTS[1])
     @example(HANG_REQUESTS[2])
+    @example(SUBTERMINAL_2000)
+    @example(["separable", "--alg", large_prime_product(200)])
     def test_generated_request_exits_0_with_json_or_2_with_an_error(self, argv):
-        # a hang surfaces as exit 3: main reports the _Hang the alarm raises
-        out, err = io.StringIO(), io.StringIO()
-        previous = signal.signal(signal.SIGALRM, _stop)
-        signal.setitimer(signal.ITIMER_REAL, 5.0)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        assert code in (0, 2), err.getvalue()
-        assert "Traceback" not in err.getvalue()
-        if code == 0:
-            json.loads(out.getvalue())
-        else:
-            assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        _check_contract(argv)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=timedelta(seconds=2))
+    @given(_VERIFY_REQUESTS)
+    def test_generated_verify_request_exits_0_or_2(self, argv):
+        _check_contract(argv)
+
+
+def _check_contract(argv):
+    """Exit 0 with output (JSON unless text was asked for), or exit 2 with
+    an error line and no output; never a traceback or a hang."""
+    # a hang surfaces as exit 3: main reports the _Hang the alarm raises
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _stop)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    usage_error = False
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse refuses the flags before main runs a command
+        code, usage_error = exc.code, True
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 0:
+        assert not usage_error and out.strip()
+        if "--format=text" not in argv:
+            json.loads(out)
+    elif usage_error:
+        assert out == "" and err.startswith("usage: mvalg") and ": error: " in err
+    else:
+        assert out == "" and err.startswith("error: ")

@@ -13,7 +13,9 @@ from mvalg import (
     boolean_skeleton,
     coproduct_finite,
     coproduct_rational,
+    decompose,
     enumerate_homs,
+    holder_embed,
     is_separable,
     is_subterminal_epic,
     meet,
@@ -26,6 +28,15 @@ L3 = FiniteMV([3])
 L6 = FiniteMV([6])
 A23 = FiniteMV([2, 3])
 TERMINAL = FiniteMV([])
+
+# the subterminal suite's catalog, and the largest A whose A + A the CLI builds
+UP_TO_3_COMPONENTS = [*iter_finite_algebras(max_components=3, max_order=8), FiniteMV([2] * 64)]
+
+
+def orders_id(algebra):
+    if algebra.num_components > 3:
+        return f"2^{algebra.num_components}"
+    return "x".join(map(str, algebra.orders)) or "terminal"
 
 
 class TestCoproductFinite:
@@ -44,6 +55,16 @@ class TestCoproductFinite:
             cop = coproduct_finite(algebra, algebra)
             assert cop.codiagonal.compose(cop.in0) == Hom.identity(algebra)
             assert cop.codiagonal.compose(cop.in1) == Hom.identity(algebra)
+
+    @pytest.mark.parametrize("algebra", UP_TO_3_COMPONENTS, ids=orders_id)
+    def test_codiagonal_reads_the_diagonal_cells(self, algebra):
+        # the diagonal cell (i, i) of the k x k grid is cell i * (k + 1)
+        k = algebra.num_components
+        cop = coproduct_finite(algebra, algebra)
+        assert cop.codiagonal.component_map == tuple(i * (k + 1) for i in range(k))
+        assert all(cop.grid[t] == (i, i) for i, t in enumerate(cop.codiagonal.component_map))
+        assert cop.codiagonal.compose(cop.in0) == Hom.identity(algebra)
+        assert cop.codiagonal.compose(cop.in1) == Hom.identity(algebra)
 
     def test_terminal_absorbs(self):
         assert coproduct_finite(A23, TERMINAL).algebra == TERMINAL
@@ -156,6 +177,11 @@ class TestIsSeparable:
     def test_terminal_empty_product(self):
         assert is_separable(TERMINAL) == is_separable(TERMINAL)
         assert is_separable(TERMINAL).factors == ()
+
+    @pytest.mark.parametrize("algebra", UP_TO_3_COMPONENTS, ids=orders_id)
+    def test_factors_are_the_embedded_decomposition(self, algebra):
+        # the closed form against the route it replaced
+        assert is_separable(algebra).factors == tuple(holder_embed(f) for f in decompose(algebra).factors)
 
     def test_agrees_with_witness(self):
         for algebra in iter_finite_algebras(max_components=2, max_order=4):

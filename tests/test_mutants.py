@@ -13,6 +13,7 @@ from itertools import product as iproduct
 import pytest
 
 from mvalg import cli, coproducts, pierce, terms, topology, verify
+from mvalg.coproducts import SeparabilityResult
 from mvalg.algebras import ONE, FiniteMV, Hom, ProductSplit, _neg, enumerate_homs
 
 
@@ -53,6 +54,17 @@ def code_action_without_rescale(hom):
     """Hom._code_action copying each numerator unscaled, as if the source and
     target chains had the same order."""
     return lambda k: tuple(k[i] for i in hom.component_map)
+
+
+def subterminal_also_when_trivial(algebra):
+    """is_subterminal_epic counting the trivial algebra as a single chain."""
+    return algebra.num_components <= 1
+
+
+def factors_reversed(algebra):
+    """is_separable listing the chain factors in reverse order."""
+    result = coproducts.is_separable(algebra)
+    return SeparabilityResult(result.separable, result.factors[::-1])
 
 
 def atoms_without_the_last(skeleton):
@@ -145,6 +157,16 @@ MUTANTS = [  # (module, name, wrong, suite, size, the FAIL summary or a pattern 
         coproducts, "chi", chi_complemented, "separability", 1,
         "no witness for FiniteMV([1]): the diagonal indicator does not complement the codiagonal kernel",
         id="witness-off-diagonal",
+    ),
+    pytest.param(
+        verify, "is_separable", factors_reversed, "separability", 2,
+        "decomposition route disagrees for FiniteMV([1, 1, 2])",
+        id="separable-factors-reversed",
+    ),
+    pytest.param(
+        verify, "is_subterminal_epic", subterminal_also_when_trivial, "subterminal", 1,
+        "misclassified FiniteMV([])",
+        id="subterminal-also-when-trivial",
     ),
     pytest.param(
         ProductSplit, "_combine", combine_selecting_c0_where_x_is_one, "product-split", 6,
