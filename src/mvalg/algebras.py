@@ -90,9 +90,6 @@ class FiniteMV(Record):
         """The Boolean element that is 1 on component i and 0 elsewhere."""
         return _indicator(len(self.orders), _components(self, (i,)))
 
-    def chain(self, i: int) -> list[Fraction]:
-        return list(_chain(self.orders[i]))
-
     def elements(self) -> Iterator[Element]:
         """All carrier elements, in lexicographic coordinate order."""
         yield from iproduct(*map(_chain, self.orders))
@@ -344,8 +341,9 @@ class Ideal(Record):
     vanishing: frozenset[int]
 
     def __init__(self, ambient: FiniteMV, vanishing: Iterable[int]):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "vanishing", _components(ambient, vanishing))
+        set_ambient, set_vanishing = self._setters
+        set_ambient(self, ambient)
+        set_vanishing(self, _components(ambient, vanishing))
 
     @staticmethod
     def generated_by(ambient: FiniteMV, generators: Iterable[Element]) -> "Ideal":
@@ -363,9 +361,9 @@ class Ideal(Record):
         return all(x[i] == ZERO for i in self.vanishing)
 
     def elements(self) -> Iterator[Element]:
-        for x in self.ambient.elements():
-            if all(x[i] == ZERO for i in self.vanishing):
-                yield x
+        """The product of the chains with each vanishing coordinate fixed at
+        0, in the order of the ambient's elements()."""
+        return iproduct(*((ZERO,) if i in self.vanishing else _chain(m) for i, m in enumerate(self.ambient.orders)))
 
     @property
     def is_zero(self) -> bool:

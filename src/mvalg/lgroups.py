@@ -25,7 +25,7 @@ class SimplicialGroup(Record):
         for u in unit:
             if type(u) is not int or u < 1:  # a bool is not a coordinate
                 raise AlgebraError(f"unit coordinates must be strictly positive, got {u!r}")
-        object.__setattr__(self, "unit", unit)
+        self._setters[0](self, unit)
 
     @property
     def rank(self) -> int:

@@ -30,19 +30,25 @@ TRIAL_DIVISION_BOUND = 10**6
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division up to TRIAL_DIVISION_BOUND.
-    What is left must be 1 or a prime below PRIME_KEY_BOUND, which
-    _is_prime decides; any other n is refused with AlgebraError."""
+    Whenever what is left of n lies between TRIAL_DIVISION_BOUND and
+    PRIME_KEY_BOUND, at the start and after each prime divided out,
+    _is_prime is asked first, and a prime ends the division at once.  If
+    the divisors run out below the square root of what is left, that is not
+    a prime _is_prime can decide, and n is refused with AlgebraError."""
     if n < 1:
         raise AlgebraError(f"cannot factorize {n}")
     out: dict[int, int] = {}
-    for d in chain((2,), range(3, TRIAL_DIVISION_BOUND + 1, 2)):
-        if d * d > n:
-            break  # what is left is 1 or a prime
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-    else:  # the divisors ran out below the square root of what is left
-        if n > 1 and (n >= PRIME_KEY_BOUND or not _is_prime(n)):
+    if not TRIAL_DIVISION_BOUND < n < PRIME_KEY_BOUND or not _is_prime(n):
+        for d in chain((2,), range(3, TRIAL_DIVISION_BOUND + 1, 2)):
+            if d * d > n:
+                break  # what is left is 1 or a prime
+            if n % d == 0:
+                while n % d == 0:
+                    out[d] = out.get(d, 0) + 1
+                    n //= d
+                if TRIAL_DIVISION_BOUND < n < PRIME_KEY_BOUND and _is_prime(n):
+                    break
+        else:  # what is left was asked about above, or lies beyond PRIME_KEY_BOUND
             raise AlgebraError(
                 f"cannot factorize: trial division up to {TRIAL_DIVISION_BOUND} leaves a "
                 f"{len(str(n))}-digit cofactor that is not a prime below {PRIME_KEY_BOUND}"
@@ -104,8 +110,9 @@ class RationalAlgebra(Record):
                 if e != INF and (type(e) is not int or e < 0):
                     raise AlgebraError(f"bad exponent {e!r} for prime {p}")
             pairs = tuple(sorted((p, e) for p, e in items.items() if e != 0))
-        object.__setattr__(self, "exponents", pairs)
-        object.__setattr__(self, "all_infinite", bool(all_infinite))
+        set_exponents, set_all_infinite = self._setters
+        set_exponents(self, pairs)
+        set_all_infinite(self, bool(all_infinite))
 
     @staticmethod
     def chain(n: int) -> "RationalAlgebra":

@@ -3,12 +3,12 @@
 A subclass lists its fields in ``__slots__``; the fields of a subclass of a
 subclass follow its parent's.  Every record
 
-* is built positionally, ``FinSpace(points, nbhds)``, by the generic
-  ``__init__`` below or by a hand-written one that sets its fields with
-  ``object.__setattr__`` (the constructors called once per swept item write
-  their own, which is faster than the generic loop; ``FiniteMV`` and
-  ``Hom``, built for every projection and hom, call the slots' own setters
-  in ``_setters``, which is faster again);
+* is built positionally, ``FinSpace(points, nbhds)``, in one of two ways:
+  by the generic ``__init__`` below, or by a hand-written one that sets
+  each field through the slot's own setter in ``_setters``, in field order
+  (the constructors that validate their input, and those called once per
+  swept item or parsed node, write their own, which is faster than the
+  generic loop);
 * compares equal only to a record of the same class with equal fields (a
   different class gives ``NotImplemented``), through an ``__eq__`` and a
   ``__hash__`` made for its class from its fields;

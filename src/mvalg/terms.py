@@ -4,7 +4,8 @@ closure they are checked against lives in ``oracles``).
 
 Grammar (precedence tightest first, binary operators left-associative):
 
-    term  := '0' | '1' | INT '/' INT | IDENT
+    term  := '0' | '1' | INT '/' INT   constant
+           | IDENT                     variable
            | '!' term                  negation
            | term '*' term             strong conjunction
            | term '+' term             truncated addition
@@ -13,8 +14,12 @@ Grammar (precedence tightest first, binary operators left-associative):
            | '(' term ')'
 
 The bare word ``v`` is the join operator and is therefore not available as a
-variable name.  Rational constants must lie in [0,1] and are only evaluable
-in algebras that contain them in every coordinate.
+variable name.  Every constant is one leaf, ``Const(value)``: ``0``,
+``0/1`` and ``0/5`` all parse to ``Const(Fraction(0))``, and the printer
+writes a constant with denominator 1 as its numerator, so that
+``parse_term(term_to_str(t)) == t``.  A constant must lie in [0,1]; 0 and 1
+evaluate in every algebra, any other constant only in algebras that contain
+it in every coordinate.
 
 A term may nest at most MAX_TERM_DEPTH levels deep: a leaf is one level, and
 each ``!``, each binary operator and each pair of parentheses adds one above
@@ -51,30 +56,23 @@ from .records import Record
 # -- syntax trees ---------------------------------------------------------------
 #
 # The parser builds one node per leaf and operator, so each node class sets
-# its fields in its own __init__ rather than through the generic one.
+# its fields in its own __init__, through the slots' setters, rather than
+# through the generic one.
 
 
 class Term(Record):
     __slots__ = ()
 
-    def __init__(self):
-        pass
-
-
-class Zero(Term):
-    __slots__ = ()
-
-
-class One(Term):
-    __slots__ = ()
-
 
 class Const(Term):
+    """A constant: a Fraction in [0,1], 0 and 1 included.  It is the only
+    constant leaf, so equal constants are equal terms."""
+
     __slots__ = ("value",)
     value: Fraction
 
     def __init__(self, value: Fraction):
-        object.__setattr__(self, "value", value)
+        self._setters[0](self, value)
 
 
 class Var(Term):
@@ -82,7 +80,7 @@ class Var(Term):
     name: str
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        self._setters[0](self, name)
 
 
 class Neg(Term):
@@ -90,7 +88,7 @@ class Neg(Term):
     arg: Term
 
     def __init__(self, arg: Term):
-        object.__setattr__(self, "arg", arg)
+        self._setters[0](self, arg)
 
 
 class _BinaryTerm(Term):
@@ -99,8 +97,9 @@ class _BinaryTerm(Term):
     right: Term
 
     def __init__(self, left: Term, right: Term):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        set_left, set_right = self._setters
+        set_left(self, left)
+        set_right(self, right)
 
 
 class Oplus(_BinaryTerm):
@@ -239,34 +238,28 @@ class _Parser:
         kind, value, at = self.take()
         if kind == "ident":
             return Var(value)
-        if kind == "int":
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
-                self.take()
-                den_tok = self.take()
-                if den_tok[0] != "int":
-                    raise ParseError("malformed fraction: expected a denominator", den_tok[2])
-                num, den = int(value), int(den_tok[1])
-                if den == 0:
-                    raise ParseError("malformed fraction: zero denominator", den_tok[2])
-                frac = Fraction(num, den)
-                if not ZERO <= frac <= ONE:
-                    raise ParseError(f"malformed fraction: {num}/{den} is outside [0,1]", at)
-                return _const(frac)
-            if value == "0":
-                return Zero()
-            if value == "1":
-                return One()
-            raise ParseError(f"bare integer {value!r} is not a term (only 0, 1, fractions)", at)
-        raise ParseError(f"unexpected {value!r}", at)
+        if kind != "int":
+            raise ParseError(f"unexpected {value!r}", at)
+        nxt = self.peek()
+        if nxt is None or nxt[0] != "op" or nxt[1] != "/":
+            if value not in _BARE:
+                raise ParseError(f"bare integer {value!r} is not a term (only 0, 1, fractions)", at)
+            frac = _BARE[value]
+        else:
+            self.take()
+            den_tok = self.take()
+            if den_tok[0] != "int":
+                raise ParseError("malformed fraction: expected a denominator", den_tok[2])
+            num, den = int(value), int(den_tok[1])
+            if den == 0:
+                raise ParseError("malformed fraction: zero denominator", den_tok[2])
+            frac = Fraction(num, den)
+            if not ZERO <= frac <= ONE:
+                raise ParseError(f"malformed fraction: {num}/{den} is outside [0,1]", at)
+        return Const(frac)
 
 
-def _const(value: Fraction) -> Term:
-    if value == ZERO:
-        return Zero()
-    if value == ONE:
-        return One()
-    return Const(value)
+_BARE = {"0": ZERO, "1": ONE}  # the integers a term may write without a denominator
 
 
 def parse_term(text: str) -> Term:
@@ -280,12 +273,8 @@ def term_to_str(term: Term) -> str:
         return _NEG_LEVEL if isinstance(t, Neg) else _LEVEL.get(type(t), _ATOM_LEVEL)
 
     def render(t: Term) -> str:
-        if isinstance(t, Zero):
-            return "0"
-        if isinstance(t, One):
-            return "1"
         if isinstance(t, Const):
-            return f"{t.value.numerator}/{t.value.denominator}"
+            return str(t.value)  # "p/q", or "0" and "1" with no denominator
         if isinstance(t, Var):
             return t.name
         if isinstance(t, Neg):
@@ -306,13 +295,9 @@ def term_to_str(term: Term) -> str:
 
 def eval_term(term: Term, env: Mapping[str, Element], algebra: FiniteMV) -> Element:
     """Structural evaluation in the given algebra."""
-    if isinstance(term, Zero):
-        return algebra.zero()
-    if isinstance(term, One):
-        return algebra.one()
     if isinstance(term, Const):
-        coords = tuple(term.value for _ in range(algebra.num_components))
-        if not algebra.contains(coords):
+        coords = (term.value,) * algebra.num_components
+        if term.value not in (0, 1) and not algebra.contains(coords):  # 0 and 1 lie in every algebra
             raise TermError(f"constant {term.value} is not an element of {algebra}")
         return coords
     if isinstance(term, Var):
@@ -321,9 +306,8 @@ def eval_term(term: Term, env: Mapping[str, Element], algebra: FiniteMV) -> Elem
         return algebra.check(env[term.name])
     if isinstance(term, Neg):
         return _neg(eval_term(term.arg, env, algebra))
-    ops = {Oplus: _oplus, Odot: _odot, Meet: _meet, Join: _join}
-    fn = ops[type(term)]
-    return fn(eval_term(term.left, env, algebra), eval_term(term.right, env, algebra))
+    ops = {Oplus: _oplus, Odot: _odot, Meet: _meet, Join: _join}  # looked up per call, so bench/tracer.py can wrap them
+    return ops[type(term)](eval_term(term.left, env, algebra), eval_term(term.right, env, algebra))
 
 
 # -- generated subalgebras and order-rank ----------------------------------------

@@ -60,8 +60,9 @@ class FinSpace(Record):
     nbhds: tuple[int, ...]
 
     def __init__(self, points: int, nbhds: tuple[int, ...]):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "nbhds", nbhds)
+        set_points, set_nbhds = self._setters
+        set_points(self, points)
+        set_nbhds(self, nbhds)
 
     @staticmethod
     def from_sets(points: int, open_sets: Iterable[Iterable[int]]) -> "FinSpace":

@@ -350,6 +350,14 @@ class TestIdealsAndQuotients:
             assert brute == structured
             assert len(brute) == 2 ** algebra.num_components
 
+    def test_contains_agrees_with_elements(self):
+        # elements() is the closed form, contains() the definition: it
+        # filters the carrier, in the carrier's order
+        for algebra in iter_finite_algebras(max_components=3, max_order=3):
+            for v in _subsets(range(algebra.num_components)):
+                ideal = Ideal(algebra, v)
+                assert list(ideal.elements()) == [x for x in algebra.elements() if ideal.contains(x)]
+
     def test_principal_ideal_of_boolean_is_down_set(self):
         x = A23.element([1, 0])
         ideal = Ideal.principal(A23, neg(A23, x))

@@ -89,6 +89,13 @@ HANG_REQUESTS = [
 LARGE_PRIMES = [p for p in range(10**18, 10**18 + 2000) if _is_prime(p)][:MAX_PRODUCT_FACTORS]
 
 
+# 64 orders, as many components as ``separable`` takes, with no factor below
+# the trial-division bound but 2: Miller-Rabin decides each one, or what is
+# left of it once the 2 is divided out
+PRIMES_64 = [p for p in range(10**18, 10**18 + 4000) if _is_prime(p)][:64]
+SEPARABLE_64 = [[10**18 + 3] * 64, PRIMES_64, [2 * p for p in PRIMES_64]]
+
+
 def large_prime_product(count):
     return json.dumps({"product": [{"kind": "chain", "n": LARGE_PRIMES[i % len(LARGE_PRIMES)]} for i in range(count)]})
 
@@ -395,6 +402,14 @@ class TestErrorHandling:
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, "separable", "--alg", large_prime_product(MAX_PRODUCT_FACTORS))
         assert code == 0 and [f["rational"]["n"] for f in json.loads(out)["factors"]] == LARGE_PRIMES
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("orders", SEPARABLE_64, ids=["one-prime-64-times", "64-primes", "64-twice-a-prime"])
+    def test_separable_on_64_large_chain_orders_is_accepted_in_under_a_second(self, capsys, orders):
+        assert len(set(PRIMES_64)) == 64
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "separable", "--alg", json.dumps({"finite": orders}))
+        assert code == 0 and [f["rational"]["n"] for f in json.loads(out)["factors"]] == orders
         assert time.perf_counter() - start < 1.0
 
     def test_subterminal_on_2000_components_is_read_off_the_orders(self, capsys):

@@ -15,6 +15,7 @@ import pytest
 from mvalg import cli, coproducts, pierce, terms, topology, verify
 from mvalg.coproducts import SeparabilityResult
 from mvalg.algebras import ONE, FiniteMV, Hom, ProductSplit, _neg, enumerate_homs
+from mvalg.lgroups import SimplicialGroup
 
 
 def homs_without_divisibility(source, target):
@@ -65,6 +66,11 @@ def factors_reversed(algebra):
     """is_separable listing the chain factors in reverse order."""
     result = coproducts.is_separable(algebra)
     return SeparabilityResult(result.separable, result.factors[::-1])
+
+
+def product_unital_swapped(g, h):
+    """product_unital concatenating the units in the wrong order."""
+    return SimplicialGroup(h.unit + g.unit)
 
 
 def atoms_without_the_last(skeleton):
@@ -167,6 +173,11 @@ MUTANTS = [  # (module, name, wrong, suite, size, the FAIL summary or a pattern 
         verify, "is_subterminal_epic", subterminal_also_when_trivial, "subterminal", 1,
         "misclassified FiniteMV([])",
         id="subterminal-also-when-trivial",
+    ),
+    pytest.param(
+        verify, "product_unital", product_unital_swapped, "simplicial-roundtrip", 2,
+        "gamma does not commute with SimplicialGroup(Z^1, unit=[1]) x SimplicialGroup(Z^2, unit=[1, 2])",
+        id="product-unital-swapped",
     ),
     pytest.param(
         ProductSplit, "_combine", combine_selecting_c0_where_x_is_one, "product-split", 6,

@@ -161,15 +161,15 @@ RECORDS = [  # one instance of every record class, built through the library
     pierce.decompose(A),
     rationals.RationalAlgebra.chain(6),
     rationals.RationalAlgebra.full(),
-    terms.Zero(),
-    terms.One(),
+    terms.Const(Fraction(0)),
+    terms.Const(Fraction(1)),
     terms.Const(HALF),
     terms.Var("x"),
     terms.Neg(terms.Var("x")),
-    terms.Oplus(terms.Var("x"), terms.One()),
-    terms.Odot(terms.Var("x"), terms.One()),
-    terms.Meet(terms.Var("x"), terms.One()),
-    terms.Join(terms.Var("x"), terms.One()),
+    terms.Oplus(terms.Var("x"), terms.Const(Fraction(1))),
+    terms.Odot(terms.Var("x"), terms.Const(Fraction(1))),
+    terms.Meet(terms.Var("x"), terms.Const(Fraction(1))),
+    terms.Join(terms.Var("x"), terms.Const(Fraction(1))),
     terms.generated_subalgebra(A, [A.element(["1/2", "1/3"])]),
     terms.order_rank(A, A.element(["1/2", "1/3"])),
     SPACE,
@@ -221,7 +221,7 @@ def test_records_print_like_dataclasses():
     assert repr(terms.Oplus(terms.Var("x"), terms.Const(HALF))) == (
         "Oplus(left=Var(name='x'), right=Const(value=Fraction(1, 2)))"
     )
-    assert repr(terms.Zero()) == "Zero()"
+    assert repr(terms.Const(Fraction(0))) == "Const(value=Fraction(0, 1))"
     assert repr(topology.pi0(SPACE)) == (
         "Pi0Result(space=FinSpace(points=1, nbhds=(1,)), class_of=(0, 0, 0))"
     )
@@ -230,9 +230,9 @@ def test_records_print_like_dataclasses():
 
 
 def test_records_of_different_classes_differ():
-    x, one = terms.Var("x"), terms.One()
+    x, one = terms.Var("x"), terms.Const(Fraction(1))
     assert terms.Oplus(x, one) != terms.Odot(x, one)
-    assert terms.Zero() != terms.One() and hash(terms.Zero()) == hash(terms.One()) == hash(())
+    assert hash(terms.Oplus(x, one)) == hash(terms.Odot(x, one)) == hash((x, one))
 
 
 def test_positional_construction_checks_the_arity():

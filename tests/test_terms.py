@@ -19,7 +19,7 @@ from mvalg import (
     term_to_str,
 )
 from mvalg.oracles import all_subalgebras_bruteforce, all_subalgebras_by_extension
-from mvalg.terms import MAX_TERM_DEPTH, Const, Join, Meet, Neg, Odot, One, Oplus, Var, Zero
+from mvalg.terms import MAX_TERM_DEPTH, Const, Join, Meet, Neg, Odot, Oplus, Var
 
 L2 = FiniteMV([2])
 L3 = FiniteMV([3])
@@ -43,10 +43,11 @@ class TestParser:
         assert parse_term("!!x") == Neg(Neg(Var("x")))
 
     def test_constants(self):
-        assert parse_term("0") == Zero()
-        assert parse_term("1") == One()
-        assert parse_term("0/1") == Zero()
+        assert parse_term("0") == parse_term("0/1") == Const(Fraction(0))
+        assert parse_term("1") == parse_term("3/3") == Const(Fraction(1))
         assert parse_term("2/4") == Const(Fraction(1, 2))
+        # a constant with denominator 1 prints as its numerator
+        assert [term_to_str(parse_term(text)) for text in ["0/1", "3/3", "2/4"]] == ["0", "1", "1/2"]
 
     @pytest.mark.parametrize(
         "bad", ["", "x +", "(x", "3/2", "1/0", "2", "x y", "&", "!"]
@@ -103,9 +104,7 @@ class TestDepthBudget:
 
 def _terms(depth):
     leaves = st.one_of(
-        st.just(Zero()),
-        st.just(One()),
-        st.builds(Const, st.fractions(min_value=Fraction(1, 7), max_value=Fraction(6, 7))),
+        st.builds(Const, st.sampled_from([Fraction(0), Fraction(1)]) | st.fractions(min_value=0, max_value=1)),
         st.builds(Var, st.sampled_from(["x", "y", "z", "alpha", "v2"])),
     )
     return st.recursive(
@@ -141,6 +140,11 @@ class TestEval:
     def test_constant_not_in_algebra(self):
         with pytest.raises(TermError):
             eval_term(parse_term("1/2"), {}, L3)
+
+    def test_zero_and_one_evaluate_in_every_algebra(self):
+        for algebra in [FiniteMV([]), L3, A23]:
+            assert eval_term(parse_term("0 v 0/1"), {}, algebra) == algebra.zero()
+            assert eval_term(parse_term("1 ^ 3/3"), {}, algebra) == algebra.one()
 
     def test_rational_constant_diagonal(self):
         assert eval_term(parse_term("1/2"), {}, FiniteMV([2, 4])) == (Fraction(1, 2), Fraction(1, 2))
