@@ -347,8 +347,8 @@ class Ideal(Record):
 
     @staticmethod
     def generated_by(ambient: FiniteMV, generators: Iterable[Element]) -> "Ideal":
-        """The ideal vanishing where every generator is 0 (the one place a
-        vanishing set is computed from elements)."""
+        """The ideal vanishing where every generator is 0 (``pierce.phi``
+        reads the vanishing set of a Boolean element from its code instead)."""
         nonzero = {i for g in generators for i, c in enumerate(ambient.check(g)) if c}
         return Ideal(ambient, [i for i in range(ambient.num_components) if i not in nonzero])
 

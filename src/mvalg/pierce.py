@@ -4,7 +4,8 @@ On finite products of chains every prime ideal is a coordinate kernel
 {a : a_i = 0}, the prime and maximal spectra coincide, and the hull-kernel
 topology is discrete; a point of the spectrum is therefore its component
 index.  Loci, supports and clopens are sets of indices, read from
-``Ideal.generated_by``; a Boolean element is the indicator of one, the 0/1
+``Ideal.generated_by`` (``phi`` reads a clopen from the zeros of the
+element's code); a Boolean element is the indicator of one, the 0/1
 coordinate vector, which the prime-residue criterion re-derives
 independently; the factors of ``decompose`` are the one-component
 projections.
@@ -27,8 +28,8 @@ from .algebras import (
     Ideal,
     _components,
     _indicator,
+    _is_boolean,
     _projection,
-    is_boolean,
 )
 from .rationals import RationalAlgebra
 from .records import Record
@@ -83,10 +84,12 @@ def support(algebra: FiniteMV, a: Element) -> frozenset[int]:
 
 
 def phi(algebra: FiniteMV, b: Element) -> frozenset[int]:
-    """The clopen V(b) attached to a Boolean element."""
-    if not is_boolean(algebra, b):
+    """The clopen V(b) attached to a Boolean element: the components where
+    its code is 0, read from the code that validates it."""
+    code = algebra._code(b)
+    if not _is_boolean(algebra.orders, code):
         raise AlgebraError(f"{b!r} is not Boolean in {algebra}")
-    return Ideal.principal(algebra, b).vanishing
+    return Ideal(algebra, [i for i, j in enumerate(code) if not j]).vanishing
 
 
 def chi(algebra: FiniteMV, zero_on: Iterable[int]) -> Element:

@@ -3,24 +3,24 @@
 A finite topology is determined by the minimal open neighbourhood N(x) of
 each point, the intersection of the opens containing x (Alexandroff 1937;
 Stong 1966), and N is the one stored form: a FinSpace holds one bitmask over
-range(points) per point.  A set W is open exactly when N(x) <= W for every
-x in W, so the opens are the unions of the N(x); they are listed only for
-output (``space_to_json``) and for the reference scans in oracles.py.
-Components are the connected components of the comparability graph of the
-specialization preorder (x ~ y iff y in N(x) or x in N(y)), each grown from
-one N(x) by joining the neighbourhoods that meet it.  The components of a
-finite space are clopen (Stong 1966), so they are also its quasi-components,
-the fibres of the clopen-membership map, and the atoms of its Boolean
-algebra of clopens; the pi0-products suite checks them against the clopen
-scan of oracles.py, and the tests against an oracle that searches for
-two-block clopen partitions.
+range(points) per point, and ``bits`` visits only a mask's set bits.  A set
+W is open exactly when N(x) <= W for every x in W, so the opens are the
+unions of the N(x); they are listed only for output (``space_to_json``) and
+for the reference scans in oracles.py.  Components are the connected
+components of the comparability graph of the specialization preorder
+(x ~ y iff y in N(x) or x in N(y)); one pass grows each from one N(x) and
+gives both the labels of ``components`` and the class count of ``pi0``.
+The components of a finite space are clopen (Stong 1966), so they are also
+its quasi-components, the fibres of the clopen-membership map, and the
+atoms of its Boolean algebra of clopens; the pi0-products suite checks them
+against the clopen scan of oracles.py, and the tests against an oracle that
+searches for two-block clopen partitions.
 
 The catalog ``iter_topologies(n)`` lists every topology on n labeled points
-once, in increasing order of the tuple (N(0), ..., N(n-1)).  Its
-enumeration applies each Alexandrov constraint (y in N(x) => N(y) <= N(x))
-once while choosing the N(x), so the spaces it yields are not validated
-again; ``space_from_min_nbhds`` validates assignments that come from
-elsewhere (``product_space``, callers).
+once, in increasing order of the tuple (N(0), ..., N(n-1)), choosing the
+N(x) level by level under each Alexandrov constraint (y in N(x) => N(y) <=
+N(x)) once, so its spaces are not validated again; ``space_from_min_nbhds``
+validates assignments from elsewhere (``product_space``, callers).
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ def mask_of(points: Iterable[int]) -> int:
 
 
 def bits(mask: int) -> Iterator[int]:
-    i = 0
+    """The indices of the set bits of mask, in increasing order; each step
+    takes the lowest set bit (``mask & -mask``), so only set bits are visited."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class FinSpace(Record):
@@ -132,15 +132,12 @@ def space_from_min_nbhds(nbhds: Sequence[int]) -> FinSpace:
     return FinSpace(n, tuple(nbhds))
 
 
-def components(space: FinSpace) -> tuple[int, ...]:
-    """Class index per point; classes are numbered by their smallest member.
-
-    Every point of N(y) is comparable with y, so the class of x is grown
-    from N(x) by joining every N(y) that meets it, until a round adds
-    nothing; the points are visited in order, so each new class starts at
-    its smallest member."""
-    nbhds = space.nbhds
-    label = [-1] * space.points
+def _classes(nbhds: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The component label of each point and the number of components: the
+    class of x is grown from N(x) by joining each N(y) that meets it (every
+    point of N(y) is comparable with y) until a round adds nothing, and the
+    points are visited in order, so each class starts at its smallest member."""
+    label = [-1] * len(nbhds)
     count = 0
     for x, grown in enumerate(nbhds):
         if label[x] < 0:
@@ -150,16 +147,28 @@ def components(space: FinSpace) -> tuple[int, ...]:
                 for ny in nbhds:
                     if ny & grown:
                         grown |= ny
-            for y in bits(grown):
-                label[y] = count
+            while grown:
+                low = grown & -grown
+                label[low.bit_length() - 1] = count
+                grown ^= low
             count += 1
-    return tuple(label)
+    return tuple(label), count
+
+
+def components(space: FinSpace) -> tuple[int, ...]:
+    """Class index per point; classes are numbered by their smallest member."""
+    return _classes(space.nbhds)[0]
 
 
 class Pi0Result(Record):
     __slots__ = ("space", "class_of")
     space: FinSpace
     class_of: tuple[int, ...]
+
+    def __init__(self, space: FinSpace, class_of: tuple[int, ...]):
+        set_space, set_class_of = self._setters
+        set_space(self, space)
+        set_class_of(self, class_of)
 
     @property
     def class_count(self) -> int:
@@ -170,8 +179,8 @@ def pi0(space: FinSpace) -> Pi0Result:
     """The space of components with the quotient topology, which is discrete
     because the components of a finite space are clopen (the pi0-products
     suite checks it against the quotient scan of oracles.py)."""
-    label = components(space)
-    return Pi0Result(FinSpace.discrete(max(label, default=-1) + 1), label)
+    label, count = _classes(space.nbhds)
+    return Pi0Result(FinSpace.discrete(count), label)
 
 
 def pair_index(x: int, y: int, y_points: int) -> int:
@@ -217,59 +226,50 @@ def gamma_compare(a: FinSpace, b: FinSpace) -> ProductComparison:
     return ProductComparison(pp, right, tuple(mapping), bij, homeo)
 
 
-def iter_min_nbhd_assignments(n: int) -> Iterator[tuple[int, ...]]:
-    """All Alexandrov minimal-neighbourhood assignments on n labeled points
-    (equivalently, all topologies), in increasing tuple order.
-
-    N(0), N(1), ... are chosen in turn.  For point x, the earlier points y
-    with x in N(y) need N(x) <= N(y), so N(x) ranges over the submasks of
-    the intersection of those N(y) that contain x, in increasing order; a
-    candidate is kept when it contains N(y) for each earlier y inside it.
-    The later points check their pairs with x when they are chosen, so
-    every pair is checked once and every yielded tuple is Alexandrov."""
-    if n == 0:
-        yield ()
-        return
-    full = (1 << n) - 1
-    nbhds = [0] * n
-
-    def rec(x: int) -> Iterator[tuple[int, ...]]:
-        bit = 1 << x
+def _extend(level: list[tuple[int, ...]], x: int, full: int) -> Iterator[tuple[int, ...]]:
+    """Each assignment of N(0), ..., N(x-1) in ``level``, in order, extended
+    by each choice of N(x) in increasing order: a submask of the meet of the
+    earlier N(y) that hold x, kept when it holds N(y) for each earlier y in it."""
+    bit = 1 << x
+    below = bit - 1
+    for prefix in level:
         bound = full
-        for ny in nbhds[:x]:
+        for ny in prefix:
             if ny & bit:
                 bound &= ny
         free = bound ^ bit
-        below = bit - 1
-        last = x + 1 == n
         sub = 0
         while True:
             cand = sub | bit
             inside = cand & below
             while inside:
                 low = inside & -inside
-                if nbhds[low.bit_length() - 1] & ~cand:
+                if prefix[low.bit_length() - 1] & ~cand:
                     break
                 inside ^= low
             else:
-                nbhds[x] = cand
-                if last:
-                    yield tuple(nbhds)
-                else:
-                    yield from rec(x + 1)
+                yield prefix + (cand,)
             if sub == free:
                 break
             sub = (sub - free) & free  # the next submask of free
 
-    yield from rec(0)
+
+def iter_min_nbhd_assignments(n: int) -> Iterator[tuple[int, ...]]:
+    """All Alexandrov minimal-neighbourhood assignments on n labeled points
+    (equivalently, all topologies), in increasing tuple order.  N(0), N(1),
+    ... are chosen level by level; the first n - 1 levels are lists and the
+    last is yielded as it is extended.  Each pair of points is checked once,
+    when the later is chosen, so every yielded tuple is Alexandrov."""
+    full = (1 << n) - 1
+    level = [()]
+    for x in range(n - 1):
+        level = list(_extend(level, x, full))
+    yield from (_extend(level, n - 1, full) if n else level)  # n = 0: the empty assignment
 
 
 def iter_topologies(n: int) -> Iterator[FinSpace]:
     """All topologies on n labeled points (1, 1, 4, 29, 355, 6942, ...
-    spaces), in the order of ``iter_min_nbhd_assignments``.  Each
-    assignment is Alexandrov by construction, so the spaces are built
-    directly; ``space_from_min_nbhds`` is the check for assignments from
-    elsewhere."""
+    spaces), in the order of ``iter_min_nbhd_assignments``, built unchecked."""
     for nbhds in iter_min_nbhd_assignments(n):
         yield FinSpace(n, nbhds)
 

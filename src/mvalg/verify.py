@@ -305,11 +305,11 @@ def check_product_split(size: int, seed: int) -> tuple[str, dict]:
 def check_pi0_products(size: int, seed: int) -> tuple[str, dict]:
     """The listed opens parse back to the space, components = quasi-components
     (the fibres of the clopen-membership map E, from the oracle's clopen
-    scan) = brute force, pi0 carries the quotient topology of the oracle
-    scan (n <= 5 exhaustively), and the product comparison gamma is a
-    homeomorphism (exhaustive pairs up to 3 points, whose products' pi0 is
-    also checked against the quotient scan; seeded sample at ``size``
-    points).  Equal E-fibres are equal clopen intersections, so the
+    scan) = brute force, pi0 labels the points by their components and
+    carries the quotient topology of the oracle scan (n <= 5 exhaustively),
+    and the product comparison gamma is a homeomorphism (exhaustive pairs up
+    to 3 points, whose products' pi0 is also checked against the quotient
+    scan; seeded sample at ``size`` points).  Equal E-fibres are equal clopen intersections, so the
     comparison of pi0 with the image of E is bijective exactly when the
     components are the quasi-components."""
     spaces_checked = 0
@@ -322,7 +322,10 @@ def check_pi0_products(size: int, seed: int) -> tuple[str, dict]:
                 raise Violation(f"components != quasi-components on {space}")
             if n <= 4 and comp != components_bruteforce(space):
                 raise Violation(f"components disagree with brute force on {space}")
-            if pi0(space).space != quotient_bruteforce(space, comp):
+            p = pi0(space)
+            if p.class_of != comp:
+                raise Violation(f"pi0 classes != components on {space}")
+            if p.space != quotient_bruteforce(space, comp):
                 raise Violation(f"pi0 is not the quotient topology on {space}")
             spaces_checked += 1
     small = [s for n in range(4) for s in iter_topologies(n)]

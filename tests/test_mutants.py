@@ -136,6 +136,13 @@ def components_after_one_round(space):
     return tuple(label)
 
 
+def pi0_classes_by_largest_member(space):
+    """pi0 numbering its k classes in reverse, k - 1 - c for class c."""
+    result = topology.pi0(space)
+    k = result.class_count
+    return topology.Pi0Result(result.space, tuple(k - 1 - c for c in result.class_of))
+
+
 MUTANTS = [  # (module, name, wrong, suite, size, the FAIL summary or a pattern it matches)
     pytest.param(
         coproducts, "lcm", max, "coproduct-universal", 3,
@@ -226,6 +233,11 @@ MUTANTS = [  # (module, name, wrong, suite, size, the FAIL summary or a pattern 
         verify, "components", components_after_one_round, "pi0-products", 4,
         "components != quasi-components on FinSpace(points=4, nbhds=(1, 2, 6, 11))",
         id="components-after-one-round",
+    ),
+    pytest.param(
+        verify, "pi0", pi0_classes_by_largest_member, "pi0-products", 4,
+        "pi0 classes != components on FinSpace(points=2, nbhds=(1, 2))",
+        id="pi0-classes-by-largest-member",
     ),
 ]
 

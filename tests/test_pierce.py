@@ -87,10 +87,18 @@ class TestVanishingLocusIso:
         assert chi(A23, [0, 1]) == A23.zero()
 
     def test_phi_requires_boolean(self):
-        with pytest.raises(AlgebraError):
-            phi(A23, A23.element(["1/2", 0]))
-        with pytest.raises(AlgebraError):
-            phi(A23, (Fraction(1), Fraction(1), Fraction(0)))
+        # membership is checked first, then the Boolean test
+        for b, message in [
+            (A23.element(["1/2", 0]), "(Fraction(1, 2), Fraction(0, 1)) is not Boolean in FiniteMV([2, 3])"),
+            ((Fraction(1, 3), Fraction(0)), "(Fraction(1, 3), Fraction(0, 1)) is not an element of FiniteMV([2, 3])"),
+            (
+                (Fraction(1), Fraction(1), Fraction(0)),
+                "(Fraction(1, 1), Fraction(1, 1), Fraction(0, 1)) is not an element of FiniteMV([2, 3])",
+            ),
+        ]:
+            with pytest.raises(AlgebraError) as excinfo:
+                phi(A23, b)
+            assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("points", [[2], [-1], ["0"], [None], [0.0], [True]])
     def test_chi_rejects_what_is_not_a_spectrum_point(self, points):

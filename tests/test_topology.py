@@ -1,5 +1,7 @@
 """Finite spaces: components, pi0, the clopen-membership map, products."""
 
+import tracemalloc
+
 import pytest
 
 from mvalg import (
@@ -94,6 +96,10 @@ class TestFinSpace:
                 assert space.nbhds[x] in containing
                 assert all(space.nbhds[x] & ~o == 0 for o in containing)
 
+    def test_bits_lists_the_set_bits_in_increasing_order(self):
+        for mask in [*range(1 << 12), 1 << 64, (1 << 64) + 5, (1 << 70) - 1, 1 << 65 | 1 << 99 | 3]:
+            assert list(bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
     def test_json_round_trip(self):
         from mvalg.topology import parse_space_json
 
@@ -149,6 +155,17 @@ class TestCatalogOrder:
             previous, count = a, count + 1
         assert count == 209527
 
+    def test_catalog_is_lazy(self):
+        # only the assignments of the first n - 1 points are held as a list
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in iter_topologies(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 6942
+        assert peak < 500_000
+
 
 class TestComponents:
     def test_discrete_three_singletons(self):
@@ -181,6 +198,13 @@ class TestComponents:
 
 
 class TestPi0:
+    @pytest.mark.parametrize("n", range(6))
+    def test_labels_and_count_are_the_components(self, n):
+        for space in iter_topologies(n):
+            result, label = pi0(space), components(space)
+            assert result.class_of == label
+            assert result.class_count == len(set(label))
+
     def test_sierpinski_collapses(self):
         result = pi0(SIERPINSKI)
         assert result.class_count == 1
