@@ -39,10 +39,9 @@ class FormatError(ValueError):
     """Malformed wire-format input."""
 
 
-# each chain factor of a {"product": [...]} is factorized on its own, about
-# 0.03 s for an order with no prime factor below the trial-division bound, so
-# a longer product is refused before any factor is parsed (16 is also
-# cli.MAX_LISTED_COMPONENTS)
+# a {"product": [...]} has at most as many factors as a finite algebra may
+# list components (cli.MAX_LISTED_COMPONENTS); a longer product is refused
+# before any factor is parsed, so its length bounds the work of a request
 MAX_PRODUCT_FACTORS = 16
 
 

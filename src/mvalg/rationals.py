@@ -2,16 +2,17 @@
 
 A subalgebra of [0,1] n Q is determined by its set of admissible
 denominators, which is closed under divisors and lcm; equivalently by a cap
-on the exponent of each prime, where the cap may be infinite.  Finite caps
-with finite support describe the finite chains; the everything-infinite
-specification is the whole rational interval.
+on the exponent of each prime, where the cap may be infinite (a supernatural
+number).  Finite caps with finite support describe the finite chains, each
+fixed by its order alone; the everything-infinite specification is the whole
+rational interval.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import log10
+from math import lcm, log10, prod
 from typing import Iterator, Mapping
 
 from .algebras import AlgebraError
@@ -20,8 +21,9 @@ from .records import Record
 INF = float("inf")
 
 # Python converts an int of at most this many digits to a decimal string
-# (sys.get_int_max_str_digits), so no chain with a longer order is written out
+# (sys.get_int_max_str_digits), so no chain with a longer order is built
 MAX_ORDER_DIGITS = 4300
+_ORDER_BOUND = 10**MAX_ORDER_DIGITS
 
 # factorize tries divisors up to this bound only, so an order with no small
 # factor costs one bounded loop and a composite cofactor is refused
@@ -30,6 +32,8 @@ TRIAL_DIVISION_BOUND = 10**6
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division up to TRIAL_DIVISION_BOUND.
+    Its one caller is RationalAlgebra.join, which factorizes the order of a
+    finite chain joined with an algebra that has an infinite prime.
     Whenever what is left of n lies between TRIAL_DIVISION_BOUND and
     PRIME_KEY_BOUND, at the start and after each prime divided out,
     _is_prime is asked first, and a prime ends the division at once.  If
@@ -89,74 +93,67 @@ def _is_prime(n: int) -> bool:
 
 
 class RationalAlgebra(Record):
-    """Denominator specification: (prime, exponent cap) pairs plus an
-    all-primes-infinite flag.  p/q (lowest terms) is a member iff every prime
-    power in q stays within its cap."""
+    """A subalgebra of [0,1] n Q in its normal form (order, exponents,
+    all_infinite).  The finite chain of order n is (n, (), False); an algebra
+    with an infinite prime keeps its sorted (prime, cap) pairs, each cap a
+    positive int or INF, and its order is the product of its finite prime
+    powers; the whole interval is (1, (), True).  ``chain``, ``supernatural``
+    and ``full`` validate their input; the positional constructor does not."""
 
-    __slots__ = ("exponents", "all_infinite")
+    __slots__ = ("order", "exponents", "all_infinite")
+    order: int
     exponents: tuple[tuple[int, int | float], ...]
     all_infinite: bool
-
-    def __init__(self, exponents: Mapping[int, int | float] | None = None, all_infinite: bool = False):
-        if all_infinite:
-            pairs: tuple[tuple[int, int | float], ...] = ()
-        else:
-            items = dict(exponents or {})
-            for p, e in items.items():
-                if isinstance(p, int) and p >= PRIME_KEY_BOUND:
-                    raise AlgebraError(f"prime key {p} is not below {PRIME_KEY_BOUND}, the bound of the primality test")
-                if not isinstance(p, int) or not _is_prime(p):
-                    raise AlgebraError(f"{p!r} is not prime")
-                if e != INF and (type(e) is not int or e < 0):
-                    raise AlgebraError(f"bad exponent {e!r} for prime {p}")
-            pairs = tuple(sorted((p, e) for p, e in items.items() if e != 0))
-        set_exponents, set_all_infinite = self._setters
-        set_exponents(self, pairs)
-        set_all_infinite(self, bool(all_infinite))
 
     @staticmethod
     def chain(n: int) -> "RationalAlgebra":
         """The finite chain with denominator n (admissible denominators: divisors of n)."""
         if type(n) is not int or n < 1:  # a bool is not an order
             raise AlgebraError(f"chain order must be a positive integer, got {n!r}")
-        return RationalAlgebra(factorize(n))
+        if n >= _ORDER_BOUND:
+            raise AlgebraError(f"a chain order has more than {MAX_ORDER_DIGITS} digits")
+        return RationalAlgebra(n, (), False)
 
     @staticmethod
     def full() -> "RationalAlgebra":
         """The whole rational unit interval."""
-        return RationalAlgebra(all_infinite=True)
+        return RationalAlgebra(1, (), True)
 
     @staticmethod
     def supernatural(exponents: Mapping[int, int | float], all_infinite: bool = False) -> "RationalAlgebra":
-        return RationalAlgebra(exponents, all_infinite)
+        """The algebra whose denominators hold each prime p at most exponents[p]
+        times (INF: any number); with all_infinite, the whole interval."""
+        if all_infinite:
+            return RationalAlgebra.full()
+        for p, e in exponents.items():
+            if isinstance(p, int) and p >= PRIME_KEY_BOUND:
+                raise AlgebraError(f"prime key {p} is not below {PRIME_KEY_BOUND}, the bound of the primality test")
+            if not isinstance(p, int) or not _is_prime(p):
+                raise AlgebraError(f"{p!r} is not prime")
+            if e != INF and (type(e) is not int or e < 0):
+                raise AlgebraError(f"bad exponent {e!r} for prime {p}")
+        return RationalAlgebra._from_caps(sorted((p, e) for p, e in exponents.items() if e != 0))
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.all_infinite and all(e != INF for _, e in self.exponents)
-
-    def _caps(self) -> str:
-        return ", ".join(f"{p}^{'inf' if e == INF else e}" for p, e in self.exponents)
-
-    def _order_too_long(self) -> bool:
-        """The finite chain's order would have more than MAX_ORDER_DIGITS digits."""
-        return sum(e * log10(p) for p, e in self.exponents) >= MAX_ORDER_DIGITS
+    @staticmethod
+    def _from_caps(caps: list[tuple[int, int | float]]) -> "RationalAlgebra":
+        """The normal form of sorted (prime, cap) pairs with valid keys and
+        nonzero caps.  The digit budget on the finite caps is checked with
+        e·log10 p before any power is computed."""
+        finite = [(p, e) for p, e in caps if e != INF]
+        if sum(e * log10(p) for p, e in finite) >= MAX_ORDER_DIGITS:
+            raise AlgebraError(f"the finite caps multiply to more than {MAX_ORDER_DIGITS} digits")
+        n = prod(p**e for p, e in finite)
+        if len(finite) == len(caps):
+            return RationalAlgebra.chain(n)  # the exact test of the order's length
+        return RationalAlgebra(n, tuple(caps), False)
 
     def chain_order(self) -> int | None:
-        """The denominator n when this algebra is the finite chain of order n.
-        A chain whose order would have more than MAX_ORDER_DIGITS digits is
-        refused with AlgebraError before the power is computed."""
-        if not self.is_finite:
-            return None
-        if self._order_too_long():
-            raise AlgebraError(f"the chain order {self._caps()} has more than {MAX_ORDER_DIGITS} digits")
-        n = 1
-        for p, e in self.exponents:
-            n *= p ** int(e)
-        return n
+        """The denominator n when this algebra is the finite chain of order n."""
+        return None if self.all_infinite or self.exponents else self.order
 
     def contains(self, x: Fraction) -> bool:
-        """p/q (lowest terms) is a member iff q is 1 once each capped prime
-        is divided out of it as often as its cap allows."""
+        """p/q (lowest terms) is a member iff the order is divisible by what
+        is left of q once each infinite prime is divided out of it."""
         x = Fraction(x)
         if not 0 <= x <= 1:
             return False
@@ -164,11 +161,10 @@ class RationalAlgebra(Record):
             return True
         q = x.denominator
         for p, cap in self.exponents:
-            stripped = 0
-            while stripped < cap and q % p == 0:
-                q //= p
-                stripped += 1
-        return q == 1
+            if cap == INF:
+                while q % p == 0:
+                    q //= p
+        return self.order % q == 0
 
     def check(self, x: Fraction) -> Fraction:
         x = Fraction(x)
@@ -180,13 +176,17 @@ class RationalAlgebra(Record):
         return self.contains(x)
 
     def join(self, other: "RationalAlgebra") -> "RationalAlgebra":
-        """Pointwise maximum of exponent caps; on finite chains this is lcm."""
+        """Pointwise maximum of exponent caps: lcm on finite chains; next to
+        an infinite prime a finite side's order is factorized into caps."""
         if self.all_infinite or other.all_infinite:
             return RationalAlgebra.full()
-        caps = dict(self.exponents)
-        for p, e in other.exponents:
-            caps[p] = max(caps.get(p, 0), e)
-        return RationalAlgebra(caps)
+        if not self.exponents and not other.exponents:
+            return RationalAlgebra.chain(lcm(self.order, other.order))
+        caps: dict[int, int | float] = {}
+        for r in (self, other):
+            for p, e in r.exponents or factorize(r.order).items():
+                caps[p] = max(caps.get(p, 0), e)
+        return RationalAlgebra._from_caps(sorted(caps.items()))
 
     def elements(self) -> Iterator[Fraction]:
         n = self.chain_order()
@@ -197,6 +197,6 @@ class RationalAlgebra(Record):
     def __repr__(self) -> str:
         if self.all_infinite:
             return "RationalAlgebra(full)"
-        if self.is_finite and not self._order_too_long():
-            return f"RationalAlgebra(chain {self.chain_order()})"
-        return f"RationalAlgebra({self._caps()})"
+        if not self.exponents:
+            return f"RationalAlgebra(chain {self.order})"
+        return "RationalAlgebra(" + ", ".join(f"{p}^{'inf' if e == INF else e}" for p, e in self.exponents) + ")"

@@ -196,9 +196,10 @@ def product_space(a: FinSpace, b: FinSpace) -> FinSpace:
 
 
 class ProductComparison(Record):
-    """gamma: pi0(X x Y) -> pi0(X) x pi0(Y), with the homeomorphism verdict."""
+    """gamma: pi0(X x Y) -> pi0(X) x pi0(Y), with X x Y as ``product`` and the homeomorphism verdict."""
 
-    __slots__ = ("left", "right", "mapping", "is_bijective", "is_homeomorphism")
+    __slots__ = ("product", "left", "right", "mapping", "is_bijective", "is_homeomorphism")
+    product: FinSpace
     left: Pi0Result
     right: FinSpace
     mapping: tuple[int, ...]
@@ -216,14 +217,14 @@ def gamma_compare(a: FinSpace, b: FinSpace) -> ProductComparison:
             c = pp.class_of[pair_index(x, y, b.points)]
             t = pair_index(pa.class_of[x], pb.class_of[y], pb.space.points)
             if mapping[c] not in (-1, t):
-                return ProductComparison(pp, right, tuple(mapping), False, False)
+                return ProductComparison(prod, pp, right, tuple(mapping), False, False)
             mapping[c] = t
     bij = len(set(mapping)) == len(mapping) == right.points and -1 not in mapping
     # a bijection is a homeomorphism when it carries each N(c) onto N(mapping[c])
     homeo = bij and all(
         mask_of(mapping[d] for d in bits(nc)) == right.nbhds[mapping[c]] for c, nc in enumerate(pp.space.nbhds)
     )
-    return ProductComparison(pp, right, tuple(mapping), bij, homeo)
+    return ProductComparison(prod, pp, right, tuple(mapping), bij, homeo)
 
 
 def _extend(level: list[tuple[int, ...]], x: int, full: int) -> Iterator[tuple[int, ...]]:

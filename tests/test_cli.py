@@ -84,14 +84,12 @@ HANG_REQUESTS = [
 ]
 
 
-# the first primes above 10^18, as many as a product may have factors;
-# trial division finds no factor of any of them
+# the first primes above 10^18, as many as a product may have factors
 LARGE_PRIMES = [p for p in range(10**18, 10**18 + 2000) if _is_prime(p)][:MAX_PRODUCT_FACTORS]
 
 
 # 64 orders, as many components as ``separable`` takes, with no factor below
-# the trial-division bound but 2: Miller-Rabin decides each one, or what is
-# left of it once the 2 is divided out
+# 10^6 but 2
 PRIMES_64 = [p for p in range(10**18, 10**18 + 4000) if _is_prime(p)][:64]
 SEPARABLE_64 = [[10**18 + 3] * 64, PRIMES_64, [2 * p for p in PRIMES_64]]
 
@@ -353,8 +351,12 @@ class TestErrorHandling:
             ["coproduct", "--alg", '{"finite":[2]}', "--alg", '{"finite":[' + "9" * 5000 + "]}"],
             ["subterminal", "--alg", '{"rational":{"kind":"supernatural","primes":{"2":20000},"all":false}}'],
             ["subterminal", "--alg", '{"rational":{"kind":"supernatural","primes":{"2":100000000000},"all":false}}'],
+            ["subterminal", "--alg", '{"rational":{"kind":"supernatural","primes":{"2":"inf","3":100000000000},"all":false}}'],
+            ["coproduct", "--alg", '{"rational":{"kind":"chain","n":%d}}' % 2**9000,
+             "--alg", '{"rational":{"kind":"chain","n":%d}}' % 3**5000],
         ],
-        ids=["5000-digit-order", "5000-digit-coproduct-summand", "chain-2^20000", "chain-2^10^11"],
+        ids=["5000-digit-order", "5000-digit-coproduct-summand", "chain-2^20000", "chain-2^10^11", "finite-caps-3^10^11",
+             "coproduct-lcm-past-4300-digits"],
     )
     def test_oversized_integer_exits_2_at_once(self, capsys, argv):
         start = time.perf_counter()
@@ -364,8 +366,7 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("argv", HANG_REQUESTS, ids=["decompose-chain", "separable-finite", "separable-product"])
     def test_chain_order_with_no_small_factor_is_decided_at_once(self, capsys, argv):
-        # trial division stops at TRIAL_DIVISION_BOUND and Miller-Rabin
-        # decides the cofactor 10^18 + 3
+        # a chain is stored as its order, so 10^18 + 3 is never factorized
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert code in (0, 2) and "Traceback" not in err
@@ -374,15 +375,18 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["decompose", "--alg", '{"rational":{"kind":"chain","n":%d}}' % (2 * 1000003 * 1000033)],
             ["separable", "--alg", '{"finite":[%d]}' % (1000003 * 1000003)],
+            ["rank", "--alg", '{"rational":{"kind":"chain","n":%d}}' % (2 * 1000003 * 1000033), "--elem", '"1/1000003"'],
+            ["subterminal", "--alg", '{"rational":{"kind":"chain","n":%s}}' % ("7" * 4000)],
+            ["separable", "--alg", json.dumps({"finite": [999983 * (10**18 + 3)] * 64})],
         ],
-        ids=["two-primes-above-the-bound", "a-square-above-the-bound"],
+        ids=["a-square-above-the-bound", "two-primes-above-the-bound", "4000-digits", "64-orders-999983p"],
     )
-    def test_chain_order_trial_division_cannot_factor_exits_2_at_once(self, capsys, argv):
+    def test_chain_order_trial_division_cannot_factor_is_accepted_at_once(self, capsys, argv):
+        # a chain is stored as its order, so no order is factorized
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == "" and "cannot factorize" in err
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["algebra"] == json.loads(argv[2])
         assert time.perf_counter() - start < 1.0
 
     def test_product_over_the_factor_budget_exits_2_before_any_factorization(self, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Coproducts, subterminality, separability, rational membership."""
 
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -21,6 +22,7 @@ from mvalg import (
     meet,
     separability_witness,
 )
+from mvalg.formats import parse_algebra, rational_to_json
 from mvalg.oracles import iter_finite_algebras
 
 L2 = FiniteMV([2])
@@ -214,13 +216,11 @@ class TestRationalMembership:
     def test_membership_matches_the_prime_exponent_rule(self):
         # p/q is a member iff each prime power in q is within its cap; the
         # rule is read here off the factorization that contains does not make
-        from itertools import product as iproduct
-
         from mvalg.rationals import factorize
 
-        for caps in iproduct([0, 1, 2, INF], repeat=3):
-            r = RationalAlgebra.supernatural(dict(zip((2, 3, 5), caps)))
-            bounds = dict(r.exponents)
+        for caps in product([0, 1, 2, INF], repeat=3):
+            bounds = dict(zip((2, 3, 5), caps))
+            r = RationalAlgebra.supernatural(bounds)
             for q in range(1, 241):
                 expected = all(e <= bounds.get(p, 0) for p, e in factorize(q).items())
                 assert r.contains(Fraction(1, q)) == r.contains(Fraction(q - 1, q)) == expected
@@ -264,7 +264,9 @@ class TestPrimeKeys:
         from mvalg.algebras import AlgebraError
         from mvalg.rationals import PRIME_KEY_BOUND
 
-        assert RationalAlgebra.supernatural({10**18 + 3: 1}).exponents == ((10**18 + 3, 1),)
+        caps = {10**18 + 3: 1}
+        r = RationalAlgebra.supernatural(caps)
+        assert r == RationalAlgebra.chain(10**18 + 3) and all(Fraction(1, p**e) in r for p, e in caps.items())
         for key in (10**18 + 1, PRIME_KEY_BOUND):
             with pytest.raises(AlgebraError):
                 RationalAlgebra.supernatural({key: 1})
@@ -292,15 +294,15 @@ class TestFactorize:
     )
     def test_refuses_a_cofactor_it_cannot_decide(self, primes):
         # every odd prime factor lies above the trial-division bound, and
-        # the cofactor is composite or too large for Miller-Rabin to decide
+        # the cofactor is composite or too large for Miller-Rabin to decide;
+        # a chain is stored as its order, so chain(n) does not factorize it
         from mvalg.algebras import AlgebraError
         from mvalg.rationals import factorize
 
         n = 2 * prod(primes)
         with pytest.raises(AlgebraError):
             factorize(n)
-        with pytest.raises(AlgebraError):
-            RationalAlgebra.chain(n)
+        assert RationalAlgebra.chain(n).order == n
 
     def test_chain_order_must_not_be_a_bool(self):
         from mvalg.algebras import AlgebraError
@@ -310,6 +312,95 @@ class TestFactorize:
                 RationalAlgebra.chain(bad)
         with pytest.raises(AlgebraError):
             RationalAlgebra.supernatural({2: True})
+
+
+# every cap table on {2, 3, 5} with caps 0, 1, 2 or INF, the chains of order
+# 1..360 as the tables trial_division gives them, and the whole interval
+# (None: every prime infinite)
+CAP_TABLES = [
+    *(dict(zip((2, 3, 5), caps)) for caps in product([0, 1, 2, INF], repeat=3)),
+    *(trial_division(m) for m in range(1, 361)),
+    None,
+]
+
+# 3^6 is the first power of 2, 3 or 5 above every exponent a chain of order at
+# most 360 has (2^8, 3^5, 5^3), so this window tells every table above from
+# every other; 360 does not (chain 256 and {2: INF} admit the same q <= 360)
+DENOMINATORS = {q: trial_division(q) for q in range(1, 3**6 + 1)}
+
+
+def admissible(table) -> frozenset[int]:
+    """The denominators in the window whose every prime power is within its cap."""
+    return frozenset(
+        q for q, factors in DENOMINATORS.items()
+        if table is None or all(e <= table.get(p, 0) for p, e in factors.items())
+    )
+
+
+def from_table(table) -> RationalAlgebra:
+    return RationalAlgebra.full() if table is None else RationalAlgebra.supernatural(table)
+
+
+class TestRationalNormalForm:
+    """One normal form per algebra: a finite chain is (order, (), False), an
+    algebra with an infinite prime keeps its caps, the whole interval is
+    (1, (), True); compared here with the cap-table definition."""
+
+    ALGEBRAS = [from_table(t) for t in CAP_TABLES]
+
+    def test_membership_and_equality_follow_the_cap_tables(self):
+        sets = [admissible(t) for t in CAP_TABLES]
+        for r, members in zip(self.ALGEBRAS, sets):
+            assert frozenset(q for q in DENOMINATORS if Fraction(1, q) in r) == members
+            assert [r == other for other in self.ALGEBRAS] == [members == m for m in sets]
+        assert len(set(self.ALGEBRAS)) == len(set(sets))  # equal algebras hash equal
+
+    def test_a_chain_is_its_supernatural_number(self):
+        for m in range(1, 361):
+            assert RationalAlgebra.chain(m) == RationalAlgebra.supernatural(trial_division(m)) == RationalAlgebra(m, (), False)
+
+    def test_join_is_the_pointwise_maximum(self):
+        built = {}  # the algebra of each pointwise maximum, keyed by its sorted items
+        for s, r in zip(CAP_TABLES, self.ALGEBRAS):
+            for t, other in zip(CAP_TABLES, self.ALGEBRAS):
+                if s is None or t is None:
+                    expected = None
+                else:
+                    key = tuple(sorted((p, max(s.get(p, 0), t.get(p, 0))) for p in s.keys() | t.keys()))
+                    expected = built.get(key) or built.setdefault(key, from_table(dict(key)))
+                assert r.join(other) == (expected or RationalAlgebra.full())
+
+    def test_the_wire_format_round_trips(self):
+        for r in self.ALGEBRAS:
+            assert parse_algebra(rational_to_json(r)) == r
+
+    def test_only_a_join_next_to_an_infinite_prime_factorizes(self, monkeypatch):
+        from mvalg import rationals
+
+        def factorize(n):
+            raise AssertionError(f"{n} was factorized")
+
+        monkeypatch.setattr(rationals, "factorize", factorize)
+        large = 2 * 1000003 * 1000033
+        specs = [
+            {"kind": "chain", "n": large},
+            {"kind": "supernatural", "primes": {"2": 1, "1000003": 1, "1000033": 1}, "all": False},
+            {"kind": "supernatural", "primes": {"2": "inf", "1000003": 1}, "all": False},
+            {"kind": "supernatural", "primes": {}, "all": True},
+        ]
+        chain, finite, mixed, full = (parse_algebra({"rational": spec}) for spec in specs)
+        assert chain == finite == RationalAlgebra.chain(large) != mixed
+        assert [r.chain_order() for r in (chain, mixed, full)] == [large, None, None]
+        for r in (chain, mixed, full):
+            assert Fraction(1, 1000003) in r and (Fraction(1, 4) in r) == (r != chain)
+            assert parse_algebra(rational_to_json(r)) == r
+        assert list(map(repr, (chain, mixed, full))) == [
+            f"RationalAlgebra(chain {large})", "RationalAlgebra(2^inf, 1000003^1)", "RationalAlgebra(full)"
+        ]
+        assert chain.join(RationalAlgebra.chain(3)) == RationalAlgebra.chain(3 * large)
+        assert mixed.join(full) == full and mixed.join(mixed) == mixed
+        with pytest.raises(AssertionError, match="was factorized"):
+            mixed.join(chain)
 
 
 class TestPierceCoproduct:

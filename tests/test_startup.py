@@ -161,6 +161,7 @@ RECORDS = [  # one instance of every record class, built through the library
     pierce.decompose(A),
     rationals.RationalAlgebra.chain(6),
     rationals.RationalAlgebra.full(),
+    rationals.RationalAlgebra.supernatural({2: rationals.INF, 3: 1}),
     terms.Const(Fraction(0)),
     terms.Const(Fraction(1)),
     terms.Const(HALF),
