@@ -2,10 +2,13 @@
 
 Every command reads JSON wire formats (see formats) and writes a JSON report
 to stdout; ``--format text`` switches to a terse human summary with no
-stability guarantee.  Exit codes: 0 success, 1 a verification suite found a
-violation (an exception raised inside a suite counts as one), 2 malformed
-input, 3 an internal error (any other exception, reported on one stderr line
-with no traceback).
+stability guarantee.  Each handler in ``HANDLERS`` returns its report, and
+``main`` alone serialises and writes it.  Exit codes: 0 success, 1 a
+verification suite found a violation (an exception raised inside a suite
+counts as one), 2 malformed input, including a request whose report would
+hold more than ``MAX_RESPONSE_LEAVES`` JSON values, 3 an internal error (any
+other exception, also one raised while writing the report, reported on one
+stderr line with no traceback).
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ from .topology import TopologyError
 
 USER_ERRORS = (FormatError, AlgebraError, TermError, TopologyError)
 
-# spec lists the 2^k opens of the discrete spectrum and pierce the 2^k
-# Boolean elements of an algebra with k components, so both refuse larger k
-MAX_LISTED_COMPONENTS = 16
+# the JSON leaf values (numbers, strings, booleans) a response may hold; k
+# components give pierce k*2^k + k + 2, spec k*2^(k-1) + 2k + 2 and decompose
+# k^2 + 4k + 1, so pierce and spec accept k <= 16 and decompose k <= 1,046
+MAX_RESPONSE_LEAVES = 1_100_000
 
 # coproduct and separable build A + B with k_A * k_B components, and its
 # injections and witness list them all, so both refuse a larger product
@@ -56,17 +60,22 @@ def _load(text: str | None, flag: str):
         raise FormatError(str(exc)) from None
 
 
-def _finite(args) -> FiniteMV:
-    alg = parse_algebra(_load(args.alg[0] if args.alg else None, "--alg"))
-    if not isinstance(alg, FiniteMV):
-        raise FormatError("this command needs a finite algebra ({\"finite\": [...]})")
-    return alg
+def _algebra(args, index: int, *kinds: str):
+    """The algebra of the index-th ``--alg``, refused unless its wire kind
+    ("finite", "rational", "product" or "simplicial") is one of kinds."""
+    texts = args.alg or []
+    obj = _load(texts[index] if index < len(texts) else None, "--alg")
+    algebra = parse_algebra(obj)
+    (kind,) = obj
+    if kind not in kinds:
+        raise FormatError(f"{args.command} expects a {' or '.join(kinds)} algebra")
+    return algebra
 
 
 def cmd_eval(args) -> dict:
     from .terms import eval_term, parse_term
 
-    algebra = _finite(args)
+    algebra = _algebra(args, 0, "finite")
     if args.term is None:
         raise FormatError("missing required --term")
     term = parse_term(args.term)
@@ -75,10 +84,13 @@ def cmd_eval(args) -> dict:
     return {"algebra": algebra_to_json(algebra), "value": element_to_json(value)}
 
 
-def _listable(algebra: FiniteMV) -> FiniteMV:
+def _budgeted(args, leaves) -> FiniteMV:
+    """The finite algebra of ``--alg``, refused before any work when its
+    response, leaves(k) JSON values for k components, is over budget."""
+    algebra = _algebra(args, 0, "finite")
     k = algebra.num_components
-    if k > MAX_LISTED_COMPONENTS:
-        raise FormatError(f"{k} components would list 2^{k} items; at most {MAX_LISTED_COMPONENTS} are accepted")
+    if leaves(k) > MAX_RESPONSE_LEAVES:
+        raise FormatError(f"{args.command} on {k} components would print more than {MAX_RESPONSE_LEAVES} values")
     return algebra
 
 
@@ -93,7 +105,7 @@ def _coproduct_budget(a: FiniteMV, b: FiniteMV) -> None:
 def cmd_decompose(args) -> dict:
     from .pierce import decompose
 
-    algebra = _finite(args)
+    algebra = _budgeted(args, lambda k: k * k + 4 * k + 1)
     dec = decompose(algebra)
     return {
         "algebra": algebra_to_json(algebra),
@@ -106,7 +118,7 @@ def cmd_decompose(args) -> dict:
 def cmd_pierce(args) -> dict:
     from .pierce import boolean_skeleton
 
-    algebra = _listable(_finite(args))
+    algebra = _budgeted(args, lambda k: k * 2**k + k + 2)
     skel = boolean_skeleton(algebra)
     return {
         "algebra": algebra_to_json(algebra),
@@ -121,34 +133,32 @@ def cmd_coproduct(args) -> dict:
 
     if not args.alg or len(args.alg) != 2:
         raise FormatError("coproduct needs --alg twice (the two summands)")
-    a = parse_algebra(_load(args.alg[0], "--alg"))
-    b = parse_algebra(_load(args.alg[1], "--alg"))
-    if isinstance(a, FiniteMV) and isinstance(b, FiniteMV):
-        _coproduct_budget(a, b)
-        cop = coproduct_finite(a, b)
-        out = {
-            "summands": [algebra_to_json(a), algebra_to_json(b)],
-            "algebra": algebra_to_json(cop.algebra),
-            "in0": hom_to_json(cop.in0),
-            "in1": hom_to_json(cop.in1),
-        }
-        if cop.codiagonal is not None:
-            out["codiagonal"] = hom_to_json(cop.codiagonal)
-        return out
-    if isinstance(a, RationalAlgebra) and isinstance(b, RationalAlgebra):
+    a = _algebra(args, 0, "finite", "rational")
+    b = _algebra(args, 1, "finite", "rational")
+    if type(a) is not type(b):
+        raise FormatError("coproduct needs two finite or two rational algebras")
+    if isinstance(a, RationalAlgebra):
         return {
             "summands": [algebra_to_json(a), algebra_to_json(b)],
             "algebra": algebra_to_json(coproduct_rational(a, b)),
         }
-    raise FormatError("coproduct needs two finite or two rational algebras")
+    _coproduct_budget(a, b)
+    cop = coproduct_finite(a, b)
+    out = {
+        "summands": [algebra_to_json(a), algebra_to_json(b)],
+        "algebra": algebra_to_json(cop.algebra),
+        "in0": hom_to_json(cop.in0),
+        "in1": hom_to_json(cop.in1),
+    }
+    if cop.codiagonal is not None:
+        out["codiagonal"] = hom_to_json(cop.codiagonal)
+    return out
 
 
 def cmd_separable(args) -> dict:
     from .coproducts import is_separable, separability_witness
 
-    algebra = parse_algebra(_load(args.alg[0] if args.alg else None, "--alg"))
-    if isinstance(algebra, SimplicialGroup):
-        raise FormatError("separable expects a finite, rational, or product algebra")
+    algebra = _algebra(args, 0, "finite", "rational", "product")
     if isinstance(algebra, FiniteMV):  # its witness lives in A + A
         _coproduct_budget(algebra, algebra)
     result = is_separable(algebra)
@@ -167,16 +177,14 @@ def cmd_separable(args) -> dict:
 def cmd_subterminal(args) -> dict:
     from .coproducts import is_subterminal_epic
 
-    algebra = parse_algebra(_load(args.alg[0] if args.alg else None, "--alg"))
-    if not isinstance(algebra, (FiniteMV, RationalAlgebra)):
-        raise FormatError("subterminal expects a finite or rational algebra")
+    algebra = _algebra(args, 0, "finite", "rational")
     return {"algebra": algebra_to_json(algebra), "subterminal": is_subterminal_epic(algebra)}
 
 
 def cmd_spec(args) -> dict:
     from .pierce import is_simple, spectrum, spectrum_space, support, vanishing_locus
 
-    algebra = _listable(_finite(args))
+    algebra = _budgeted(args, lambda k: k * 2**k // 2 + 2 * k + 2)
     out = {
         "algebra": algebra_to_json(algebra),
         "points": spectrum(algebra),
@@ -195,9 +203,7 @@ def cmd_spec(args) -> dict:
 def cmd_rank(args) -> dict:
     from .terms import order_rank
 
-    algebra = parse_algebra(_load(args.alg[0] if args.alg else None, "--alg"))
-    if isinstance(algebra, SimplicialGroup):
-        raise FormatError("rank expects a finite, rational, or product algebra")
+    algebra = _algebra(args, 0, "finite", "rational", "product")
     raw = _load(args.elem, "--elem")
     if isinstance(algebra, FiniteMV):
         elem = parse_element(algebra, raw)
@@ -229,7 +235,7 @@ def cmd_pi0(args) -> dict:
 def cmd_gamma(args) -> dict:
     from .lgroups import gamma, xi
 
-    algebra = parse_algebra(_load(args.alg[0] if args.alg else None, "--alg"))
+    algebra = _algebra(args, 0, "simplicial", "finite")
     if isinstance(algebra, SimplicialGroup):
         finite = gamma(algebra)
         return {
@@ -237,17 +243,15 @@ def cmd_gamma(args) -> dict:
             "algebra": algebra_to_json(finite),
             "round_trip": xi(finite) == algebra,
         }
-    if isinstance(algebra, FiniteMV):
-        group = xi(algebra)
-        return {
-            "algebra": algebra_to_json(algebra),
-            "group": algebra_to_json(group),
-            "round_trip": gamma(group) == algebra,
-        }
-    raise FormatError("gamma expects a simplicial group or a finite algebra")
+    group = xi(algebra)
+    return {
+        "algebra": algebra_to_json(algebra),
+        "group": algebra_to_json(group),
+        "round_trip": gamma(group) == algebra,
+    }
 
 
-def cmd_verify(args) -> tuple[int, dict]:
+def cmd_verify(args) -> dict:
     from .verify import CRITERIA, run_criterion, suite_size
 
     names = list(CRITERIA) if args.all or not args.criteria else args.criteria
@@ -257,71 +261,63 @@ def cmd_verify(args) -> tuple[int, dict]:
         except ValueError as exc:
             raise FormatError(str(exc)) from None
     reports = [run_criterion(name, size=args.max_size, seed=args.seed) for name in names]
-    payload = {
+    return {
         "seed": args.seed,
         "max_size": args.max_size,
-        "criteria": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "summary": r.summary,
-                "stats": r.stats,
-            }
-            for r in reports
-        ],
+        "criteria": reports,
         "all_passed": all(r.passed for r in reports),
     }
-    if args.format == "text":
-        for r in reports:
-            print(r.line())
-        print("all passed" if payload["all_passed"] else "violations found")
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    return (0 if payload["all_passed"] else 1), payload
 
 
-def _emit(args, payload: dict) -> None:
-    if args.format == "text":
-        for key, value in sorted(payload.items()):
-            print(f"{key}: {value}")
+def _report_json(report) -> dict:
+    """A verify suite's report in JSON; its running time shows only in text."""
+    return {"name": report.name, "passed": report.passed, "summary": report.summary, "stats": report.stats}
+
+
+def _emit(args, payload: dict) -> str:
+    """The text ``main`` writes for a handler's report."""
+    if args.format == "json":
+        return json.dumps(payload, indent=2, sort_keys=True, default=_report_json) + "\n"
+    if args.command == "verify":
+        lines = [r.line() for r in payload["criteria"]]
+        lines.append("all passed" if payload["all_passed"] else "violations found")
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        lines = [f"{key}: {value}" for key, value in sorted(payload.items())]
+    return "".join(line + "\n" for line in lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mvalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, **flags):
-        p = sub.add_parser(name)
-        if flags.get("alg"):
-            p.add_argument("--alg", action="append", help="algebra JSON (repeatable where two are needed)")
-        if flags.get("elem"):
-            p.add_argument("--elem", help="element JSON")
-        if flags.get("env"):
-            p.add_argument("--env", help="environment JSON")
-        if flags.get("term"):
-            p.add_argument("--term", help="term string")
-        if flags.get("space"):
-            p.add_argument("--space", help="finite space JSON")
-        p.add_argument("--format", choices=["json", "text"], default="json")
-        return p
-
-    add("eval", alg=True, term=True, env=True)
-    add("decompose", alg=True)
-    add("pierce", alg=True)
-    add("coproduct", alg=True)
-    add("separable", alg=True)
-    add("subterminal", alg=True)
-    add("spec", alg=True, elem=True)
-    add("rank", alg=True, elem=True)
-    add("pi0", space=True)
-    add("gamma", alg=True)
-    v = add("verify")
-    v.add_argument("criteria", nargs="*", help="criterion names (default: all)")
-    v.add_argument("--all", action="store_true", help="run every criterion")
-    v.add_argument("--max-size", type=int, default=None, help="primary sweep bound, each suite's minimum..maximum")
-    v.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
+    options = {  # flag -> add_argument keywords
+        "--alg": {"action": "append", "help": "algebra JSON (repeatable where two are needed)"},
+        "--elem": {"help": "element JSON"},
+        "--env": {"help": "environment JSON"},
+        "--term": {"help": "term string"},
+        "--space": {"help": "finite space JSON"},
+        "criteria": {"nargs": "*", "help": "criterion names (default: all)"},
+        "--all": {"action": "store_true", "help": "run every criterion"},
+        "--max-size": {"type": int, "help": "primary sweep bound, each suite's minimum..maximum"},
+        "--seed": {"type": int, "default": 0, "help": "seed for sampled sweeps"},
+        "--format": {"choices": ["json", "text"], "default": "json"},
+    }
+    flags = {  # command -> the flags it reads besides --format
+        "eval": ("--alg", "--term", "--env"),
+        "decompose": ("--alg",),
+        "pierce": ("--alg",),
+        "coproduct": ("--alg",),
+        "separable": ("--alg",),
+        "subterminal": ("--alg",),
+        "spec": ("--alg", "--elem"),
+        "rank": ("--alg", "--elem"),
+        "pi0": ("--space",),
+        "gamma": ("--alg",),
+        "verify": ("criteria", "--all", "--max-size", "--seed"),
+    }
+    for command, names in flags.items():
+        p = sub.add_parser(command)
+        for flag in (*names, "--format"):
+            p.add_argument(flag, **options[flag])
     return parser
 
 
@@ -336,25 +332,23 @@ HANDLERS = {
     "rank": cmd_rank,
     "pi0": cmd_pi0,
     "gamma": cmd_gamma,
+    "verify": cmd_verify,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            code, _ = cmd_verify(args)
-            return code
         payload = HANDLERS[args.command](args)
+        sys.stdout.write(_emit(args, payload))
+        sys.stdout.flush()
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect in mvalg, not in the input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    _emit(args, payload)
-    return 0
+    return 1 if args.command == "verify" and not payload["all_passed"] else 0
 
 
 if __name__ == "__main__":

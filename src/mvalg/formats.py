@@ -39,8 +39,8 @@ class FormatError(ValueError):
     """Malformed wire-format input."""
 
 
-# a {"product": [...]} has at most as many factors as a finite algebra may
-# list components (cli.MAX_LISTED_COMPONENTS); a longer product is refused
+# a {"product": [...]} has at most as many factors as pierce and spec accept
+# components under cli.MAX_RESPONSE_LEAVES; a longer product is refused
 # before any factor is parsed, so its length bounds the work of a request
 MAX_PRODUCT_FACTORS = 16
 

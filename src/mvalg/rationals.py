@@ -123,8 +123,6 @@ class RationalAlgebra(Record):
     def supernatural(exponents: Mapping[int, int | float], all_infinite: bool = False) -> "RationalAlgebra":
         """The algebra whose denominators hold each prime p at most exponents[p]
         times (INF: any number); with all_infinite, the whole interval."""
-        if all_infinite:
-            return RationalAlgebra.full()
         for p, e in exponents.items():
             if isinstance(p, int) and p >= PRIME_KEY_BOUND:
                 raise AlgebraError(f"prime key {p} is not below {PRIME_KEY_BOUND}, the bound of the primality test")
@@ -132,6 +130,8 @@ class RationalAlgebra(Record):
                 raise AlgebraError(f"{p!r} is not prime")
             if e != INF and (type(e) is not int or e < 0):
                 raise AlgebraError(f"bad exponent {e!r} for prime {p}")
+        if all_infinite:
+            return RationalAlgebra.full()
         return RationalAlgebra._from_caps(sorted((p, e) for p, e in exponents.items() if e != 0))
 
     @staticmethod

@@ -1,5 +1,6 @@
 """Wire formats and the command-line interface."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvalg import FiniteMV, INF, RationalAlgebra, SimplicialGroup
-from mvalg.cli import MAX_COPRODUCT_COMPONENTS, MAX_LISTED_COMPONENTS, main
+from mvalg.cli import MAX_COPRODUCT_COMPONENTS, MAX_RESPONSE_LEAVES, main
 from mvalg.formats import (
     MAX_PRODUCT_FACTORS,
     FormatError,
@@ -213,6 +214,12 @@ class TestCommands:
         )
         assert code == 0 and out.startswith("PASS subterminal")
 
+    def test_parser_accepts_exactly_the_handled_commands(self):
+        from mvalg import cli
+
+        (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(commands.choices) == list(cli.HANDLERS)
+
 
 class TestErrorHandling:
     def test_malformed_json_exits_2(self, capsys):
@@ -260,13 +267,14 @@ class TestErrorHandling:
             ["pi0", "--space", '{"points":2,"opens":[[],[-1],[0,1]]}'],
             ["pi0", "--space", '{"points":2,"opens":[[],[true],[0,1]]}'],
             ["pi0", "--space", '{"points":true,"opens":[[],[0]]}'],
-            ["spec", "--alg", json.dumps({"finite": [1] * (MAX_LISTED_COMPONENTS + 1)})],
-            ["pierce", "--alg", json.dumps({"finite": [1] * (MAX_LISTED_COMPONENTS + 1)})],
+            ["spec", "--alg", json.dumps({"finite": [1] * 17})],
+            ["pierce", "--alg", json.dumps({"finite": [1] * 17})],
+            ["rank", "--alg", '{"rational":{"kind":"supernatural","primes":{"4":1},"all":true}}', "--elem", '"1/3"'],
         ],
         ids=["all-a-string", "decimal", "exponent", "leading-space",
              "1000-negations", "5000-negations", "100-parentheses", "3000-sums",
              "negative-point", "boolean-point", "boolean-point-count",
-             "spec-over-budget", "pierce-over-budget"],
+             "spec-over-budget", "pierce-over-budget", "all-with-a-composite-key"],
     )
     def test_malformed_wire_input_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -402,7 +410,7 @@ class TestErrorHandling:
         assert time.perf_counter() - start < 1.0
 
     def test_product_at_the_factor_budget_is_accepted_in_under_a_second(self, capsys):
-        assert MAX_PRODUCT_FACTORS == MAX_LISTED_COMPONENTS == len(set(LARGE_PRIMES))
+        assert MAX_PRODUCT_FACTORS == 16 == len(set(LARGE_PRIMES))
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, "separable", "--alg", large_prime_product(MAX_PRODUCT_FACTORS))
         assert code == 0 and [f["rational"]["n"] for f in json.loads(out)["factors"]] == LARGE_PRIMES
@@ -465,6 +473,26 @@ class TestErrorHandling:
         code, out, err = run_cli(capsys, "decompose", "--alg", '{"finite":[2]}')
         assert (code, out, err) == (3, "", "internal error: RuntimeError: planted defect\n")
 
+    @pytest.mark.parametrize("target", ["emit", "write"])
+    def test_failure_while_writing_the_report_exits_3(self, capsys, monkeypatch, target):
+        from mvalg import cli
+
+        class BrokenStdout(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError("reader went away")
+
+        def emit(args, payload):
+            raise MemoryError
+
+        if target == "emit":
+            monkeypatch.setattr(cli, "_emit", emit)
+        else:
+            monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        code = main(["decompose", "--alg", '{"finite":[2]}'])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"internal error: {'MemoryError' if target == 'emit' else 'BrokenPipeError'}")
+
     def test_exception_inside_a_suite_exits_1_not_3(self, capsys, monkeypatch):
         # a suite that raises found a defect in the code under test: a FAIL
         # report, not an internal error of the command
@@ -489,6 +517,68 @@ class TestErrorHandling:
         code, out, err = run_cli(capsys, "pi0", "--space", '{"points":1000000000,"opens":[[]]}')
         assert code == 2 and out == "" and "full set" in err
         assert time.perf_counter() - start < 1.0
+
+
+# the JSON leaf values (numbers, strings, booleans) of a report on k
+# components, which the command predicts before any work
+PREDICTED_LEAVES = {
+    "pierce": lambda k: k * 2**k + k + 2,
+    "spec": lambda k: k * 2**k // 2 + 2 * k + 2,
+    "decompose": lambda k: k * k + 4 * k + 1,
+}
+DECOMPOSE_LIMIT = 1046  # the most components decompose accepts
+
+
+def _leaves(value) -> int:
+    if isinstance(value, dict):
+        return sum(_leaves(v) for v in value.values())
+    if isinstance(value, list):
+        return sum(_leaves(v) for v in value)
+    return 1
+
+
+def _run_in_512_mb(argv):
+    """``mvalg <argv>`` in a child process whose address space alone is
+    capped at 512 MB."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+    return subprocess.run(
+        [sys.executable, "-m", "mvalg", *argv], capture_output=True, text=True, timeout=60, preexec_fn=cap
+    )
+
+
+class TestResponseBudget:
+    @pytest.mark.parametrize("command", PREDICTED_LEAVES)
+    @pytest.mark.parametrize("k", [0, 1, 3, 5])
+    def test_predicted_size_is_the_size_of_the_report(self, capsys, command, k):
+        code, out, _ = run_cli(capsys, command, "--alg", json.dumps({"finite": [2, 3, 4, 5, 6][:k]}))
+        assert code == 0 and _leaves(json.loads(out)) == PREDICTED_LEAVES[command](k)
+
+    def test_budget_keeps_the_component_limits(self):
+        for command, limit in [("pierce", 16), ("spec", 16), ("decompose", DECOMPOSE_LIMIT)]:
+            leaves = PREDICTED_LEAVES[command]
+            assert leaves(limit) <= MAX_RESPONSE_LEAVES < leaves(limit + 1), command
+
+    @pytest.mark.parametrize(
+        "orders, code",
+        [
+            ([2] * DECOMPOSE_LIMIT, 0),
+            ([2] * (DECOMPOSE_LIMIT + 1), 2),
+            ([2] * 8000, 2),
+            (list(range(1, 20001)), 2),
+        ],
+        ids=["at-the-limit", "one-past-the-limit", "8000-components", "orders-1-to-20000"],
+    )
+    def test_decompose_at_and_past_its_limit_in_512_mb(self, orders, code):
+        proc = _run_in_512_mb(["decompose", "--alg", json.dumps({"finite": orders})])
+        assert proc.returncode == code and "Traceback" not in proc.stderr
+        if code == 0:
+            assert len(json.loads(proc.stdout)["projections"]) == DECOMPOSE_LIMIT
+        else:
+            assert proc.stdout == "" and proc.stderr.startswith("error: decompose on ")
 
 
 class TestDeterminism:
@@ -682,6 +772,7 @@ class TestExitCodeContract:
     @example(HANG_REQUESTS[2])
     @example(SUBTERMINAL_2000)
     @example(["separable", "--alg", large_prime_product(200)])
+    @example(["decompose", "--alg", json.dumps({"finite": [2] * 8000})])
     def test_generated_request_exits_0_with_json_or_2_with_an_error(self, argv):
         _check_contract(argv)
 
