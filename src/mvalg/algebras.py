@@ -66,7 +66,7 @@ class FiniteMV(Record):
         for m in orders:
             if type(m) is not int or m < 1:  # a bool is not an order
                 raise AlgebraError(f"chain order must be a positive integer, got {m!r}")
-        self._setters[0](self, orders)
+        self._init(orders)
 
     @property
     def num_components(self) -> int:
@@ -142,7 +142,7 @@ class FiniteMV(Record):
         return self.check(x)
 
     def canonical(self) -> "FiniteMV":
-        return FiniteMV(sorted(self.orders))
+        return FiniteMV._make(tuple(sorted(self.orders)))
 
     def __repr__(self) -> str:
         return f"FiniteMV({list(self.orders)})"
@@ -174,7 +174,11 @@ def _indicator(k: int, ones: frozenset[int]) -> Element:
 #
 # Validation happens once, at a public entry: the public operations below,
 # Hom.__call__, ProductSplit.pair and ProductSplit.combine check their
-# arguments and then call the underscored versions, which do not.
+# arguments and then call the underscored versions, which do not.  The same
+# holds for values: FiniteMV(...), Hom(...) and Ideal(...) check what they
+# are given, and the library builds the values that are valid by
+# construction (enumerate_homs, Hom.compose, _projection, the coproduct's
+# maps) with the unchecked ``_make`` of records.py.
 #
 # Which form each underscored function takes:
 # * Fraction tuples: _neg, _oplus, _odot, _join, _meet and Hom._apply.  The
@@ -277,10 +281,7 @@ class Hom(Record):
                 raise AlgebraError(f"component map entry {i} out of range for {source}")
             if n[j] % m[i]:
                 raise AlgebraError(f"order {m[i]} does not divide {n[j]} (source component {i} -> target component {j})")
-        set_source, set_target, set_map = self._setters
-        set_source(self, source)
-        set_target(self, target)
-        set_map(self, component_map)
+        self._init(source, target, component_map)
 
     def __call__(self, x: Element) -> Element:
         return self._apply(self.source.check(x))
@@ -304,13 +305,13 @@ class Hom(Record):
 
     @staticmethod
     def identity(algebra: FiniteMV) -> "Hom":
-        return Hom(algebra, algebra, range(algebra.num_components))
+        return Hom._make(algebra, algebra, tuple(range(algebra.num_components)))
 
     def compose(self, other: "Hom") -> "Hom":
         """self o other (apply other first)."""
         if other.target != self.source:
             raise AlgebraError("homs not composable")
-        return Hom(other.source, self.target, (other.component_map[i] for i in self.component_map))
+        return Hom._make(other.source, self.target, tuple([other.component_map[i] for i in self.component_map]))
 
     def __repr__(self) -> str:
         return f"Hom({list(self.source.orders)}->{list(self.target.orders)}, {list(self.component_map)})"
@@ -325,7 +326,7 @@ def enumerate_homs(source: FiniteMV, target: FiniteMV) -> list[Hom]:
         if not ok:
             return []
         choices.append(ok)
-    return [Hom(source, target, cm) for cm in iproduct(*choices)]
+    return [Hom._make(source, target, cm) for cm in iproduct(*choices)]
 
 
 # -- products, ideals, quotients ----------------------------------------------
@@ -341,16 +342,14 @@ class Ideal(Record):
     vanishing: frozenset[int]
 
     def __init__(self, ambient: FiniteMV, vanishing: Iterable[int]):
-        set_ambient, set_vanishing = self._setters
-        set_ambient(self, ambient)
-        set_vanishing(self, _components(ambient, vanishing))
+        self._init(ambient, _components(ambient, vanishing))
 
     @staticmethod
     def generated_by(ambient: FiniteMV, generators: Iterable[Element]) -> "Ideal":
         """The ideal vanishing where every generator is 0 (``pierce.phi``
         reads the vanishing set of a Boolean element from its code instead)."""
         nonzero = {i for g in generators for i, c in enumerate(ambient.check(g)) if c}
-        return Ideal(ambient, [i for i in range(ambient.num_components) if i not in nonzero])
+        return Ideal._make(ambient, frozenset(range(ambient.num_components)) - nonzero)
 
     @staticmethod
     def principal(ambient: FiniteMV, a: Element) -> "Ideal":
@@ -384,8 +383,8 @@ def quotient_by_ideal(algebra: FiniteMV, ideal: Ideal) -> tuple[FiniteMV, Hom]:
 def _projection(algebra: FiniteMV, kept: Sequence[int]) -> tuple[FiniteMV, Hom]:
     """The product of the kept components, in the listed order, and the
     projection onto it: every quotient, split leg and chain factor."""
-    part = FiniteMV([algebra.orders[i] for i in kept])
-    return part, Hom(algebra, part, kept)
+    part = FiniteMV._make(tuple([algebra.orders[i] for i in kept]))
+    return part, Hom._make(algebra, part, tuple(kept))
 
 
 def localize(algebra: FiniteMV, x: Element) -> tuple[FiniteMV, Hom]:

@@ -53,13 +53,13 @@ class CoproductResult(Record):
 
 def coproduct_finite(a: FiniteMV, b: FiniteMV) -> CoproductResult:
     grid = tuple((i, j) for i in range(a.num_components) for j in range(b.num_components))
-    algebra = FiniteMV(lcm(a.orders[i], b.orders[j]) for i, j in grid)
-    in0 = Hom(a, algebra, (i for i, _ in grid))
-    in1 = Hom(b, algebra, (j for _, j in grid))
+    algebra = FiniteMV._make(tuple([lcm(a.orders[i], b.orders[j]) for i, j in grid]))
+    in0 = Hom._make(a, algebra, tuple([i for i, _ in grid]))
+    in1 = Hom._make(b, algebra, tuple([j for _, j in grid]))
     codiag = None
     if a == b:
         # nabla o in0 = nabla o in1 = id forces component i to read cell (i, i): i * (k + 1)
-        codiag = Hom(algebra, a, range(0, len(grid), a.num_components + 1))
+        codiag = Hom._make(algebra, a, tuple(range(0, len(grid), a.num_components + 1)))
     return CoproductResult(algebra, in0, in1, codiag, grid)
 
 
@@ -103,7 +103,7 @@ def separability_witness(algebra: FiniteMV) -> SeparabilityCertificate:
     nabla = cop.codiagonal
     assert nabla is not None
     e = chi(cop.algebra, (t for t, (i, j) in enumerate(cop.grid) if i != j))
-    kernel = Ideal(cop.algebra, set(nabla.component_map))
+    kernel = Ideal._make(cop.algebra, frozenset(nabla.component_map))
     if nabla(e) == algebra.one() and Ideal.principal(cop.algebra, _neg(e)) == kernel:
         return SeparabilityCertificate(algebra, cop, e, product_split(cop.algebra, e), None)
     return SeparabilityCertificate(

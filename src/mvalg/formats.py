@@ -107,10 +107,7 @@ def _parse_rational(obj) -> RationalAlgebra:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError(f'expected {{"kind": ...}}, got {obj!r}')
     if obj["kind"] == "chain":
-        n = obj.get("n")
-        if not _is_int(n) or n < 1:
-            raise FormatError(f"bad chain order {n!r}")
-        return RationalAlgebra.chain(n)
+        return RationalAlgebra.chain(obj.get("n"))
     if obj["kind"] == "supernatural":
         primes = obj.get("primes", {})
         if not isinstance(primes, dict):
@@ -132,52 +129,43 @@ def _parse_rational(obj) -> RationalAlgebra:
         all_infinite = obj.get("all", False)
         if not isinstance(all_infinite, bool):
             raise FormatError(f'"all" must be true or false, got {all_infinite!r}')
-        try:
-            return RationalAlgebra.supernatural(caps, all_infinite)
-        except AlgebraError as exc:
-            raise FormatError(str(exc)) from None
+        return RationalAlgebra.supernatural(caps, all_infinite)
     raise FormatError(f"unknown rational algebra kind {obj['kind']!r}")
 
 
 def parse_algebra(obj):
     """Parse any of the algebra wire formats; returns FiniteMV,
-    RationalAlgebra, a list of RationalAlgebra (product), or SimplicialGroup."""
+    RationalAlgebra, a list of RationalAlgebra (product), or SimplicialGroup.
+    The shapes are checked here and the values by the constructors, whose
+    AlgebraError becomes a FormatError."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise FormatError(f"expected a one-key algebra object, got {obj!r}")
     (key, value), = obj.items()
-    if key == "finite":
-        if not isinstance(value, list) or not all(_is_int(m) for m in value):
-            raise FormatError(f"bad chain orders {value!r}")
-        try:
+    try:
+        if key == "finite":
+            if not isinstance(value, list):
+                raise FormatError(f"bad chain orders {value!r}")
             return FiniteMV(value)
-        except AlgebraError as exc:
-            raise FormatError(str(exc)) from None
-    if key == "rational":
-        return _parse_rational(value)
-    if key == "product":
-        if not isinstance(value, list):
-            raise FormatError(f"bad product {value!r}")
-        if len(value) > MAX_PRODUCT_FACTORS:
-            raise FormatError(f"a product of {len(value)} factors; at most {MAX_PRODUCT_FACTORS} are accepted")
-        return [
-            _parse_rational(item["rational"]) if isinstance(item, dict) and set(item) == {"rational"} else _parse_rational(item)
-            for item in value
-        ]
-    if key == "simplicial":
-        if (
-            not isinstance(value, dict)
-            or set(value) not in ({"rank", "unit"}, {"unit"})
-            or not isinstance(value.get("unit"), list)
-            or not all(_is_int(u) for u in value["unit"])
-        ):
-            raise FormatError(f'expected {{"rank": r, "unit": [...]}}, got {value!r}')
-        unit = value["unit"]
-        if "rank" in value and (not _is_int(value["rank"]) or value["rank"] != len(unit)):
-            raise FormatError(f"rank {value['rank']!r} does not match unit length {len(unit)}")
-        try:
+        if key == "rational":
+            return _parse_rational(value)
+        if key == "product":
+            if not isinstance(value, list):
+                raise FormatError(f"bad product {value!r}")
+            if len(value) > MAX_PRODUCT_FACTORS:
+                raise FormatError(f"a product of {len(value)} factors; at most {MAX_PRODUCT_FACTORS} are accepted")
+            return [
+                _parse_rational(item["rational"]) if isinstance(item, dict) and set(item) == {"rational"} else _parse_rational(item)
+                for item in value
+            ]
+        if key == "simplicial":
+            if not isinstance(value, dict) or set(value) not in ({"rank", "unit"}, {"unit"}) or not isinstance(value["unit"], list):
+                raise FormatError(f'expected {{"rank": r, "unit": [...]}}, got {value!r}')
+            unit = value["unit"]
+            if "rank" in value and (not _is_int(value["rank"]) or value["rank"] != len(unit)):
+                raise FormatError(f"rank {value['rank']!r} does not match unit length {len(unit)}")
             return SimplicialGroup(unit)
-        except AlgebraError as exc:
-            raise FormatError(str(exc)) from None
+    except AlgebraError as exc:
+        raise FormatError(str(exc)) from None
     raise FormatError(f"unknown algebra kind {key!r}")
 
 

@@ -25,7 +25,7 @@ class SimplicialGroup(Record):
         for u in unit:
             if type(u) is not int or u < 1:  # a bool is not a coordinate
                 raise AlgebraError(f"unit coordinates must be strictly positive, got {u!r}")
-        self._setters[0](self, unit)
+        self._init(unit)
 
     @property
     def rank(self) -> int:
@@ -37,14 +37,14 @@ class SimplicialGroup(Record):
 
 def gamma(group: SimplicialGroup) -> FiniteMV:
     """Unit interval of (Z^r, u): the product of chains with orders u_i."""
-    return FiniteMV(group.unit)
+    return FiniteMV._make(group.unit)
 
 
 def xi(algebra: FiniteMV) -> SimplicialGroup:
     """Inverse direction: rank = component count, unit = chain orders."""
-    return SimplicialGroup(algebra.orders)
+    return SimplicialGroup._make(algebra.orders)
 
 
 def product_unital(g: SimplicialGroup, h: SimplicialGroup) -> SimplicialGroup:
     """Cartesian product: rank sum, concatenated units."""
-    return SimplicialGroup(g.unit + h.unit)
+    return SimplicialGroup._make(g.unit + h.unit)

@@ -89,7 +89,7 @@ def phi(algebra: FiniteMV, b: Element) -> frozenset[int]:
     code = algebra._code(b)
     if not _is_boolean(algebra.orders, code):
         raise AlgebraError(f"{b!r} is not Boolean in {algebra}")
-    return Ideal(algebra, [i for i, j in enumerate(code) if not j]).vanishing
+    return frozenset([i for i, j in enumerate(code) if not j])
 
 
 def chi(algebra: FiniteMV, zero_on: Iterable[int]) -> Element:
@@ -146,7 +146,7 @@ def decompose(algebra: FiniteMV) -> Decomposition:
 
 def radical(algebra: FiniteMV) -> Ideal:
     """Intersection of the maximal ideals; zero on this class."""
-    return Ideal(algebra, range(algebra.num_components))
+    return Ideal._make(algebra, frozenset(range(algebra.num_components)))
 
 
 def is_simple(algebra: FiniteMV) -> bool:

@@ -3,12 +3,16 @@
 A subclass lists its fields in ``__slots__``; the fields of a subclass of a
 subclass follow its parent's.  Every record
 
-* is built positionally, ``FinSpace(points, nbhds)``, in one of two ways:
-  by the generic ``__init__`` below, or by a hand-written one that sets
-  each field through the slot's own setter in ``_setters``, in field order
-  (the constructors that validate their input, and those called once per
-  swept item or parsed node, write their own, which is faster than the
-  generic loop);
+* is built positionally, ``FinSpace(points, nbhds)``, by one constructor made
+  for its class from its fields, as ``namedtuple`` and ``dataclasses`` make
+  theirs: positional-only, one slot-setter call per field, in field order.
+  It is the class's ``_init``, and its ``__init__`` unless the class writes
+  one;
+* is checked only where values enter from outside: a class writes
+  ``__init__`` only to validate its input, and then calls
+  ``self._init(...)``.  Where the library builds a record from parts that
+  are valid by construction, ``cls._make(*fields)`` builds it through
+  ``_init`` alone, with no check;
 * compares equal only to a record of the same class with equal fields (a
   different class gives ``NotImplemented``), through an ``__eq__`` and a
   ``__hash__`` made for its class from its fields;
@@ -21,7 +25,9 @@ subclass follow its parent's.  Every record
 
 from __future__ import annotations
 
+from functools import cache
 from operator import attrgetter
+from types import CodeType, FunctionType
 
 
 def _eq_and_hash(fields: tuple[str, ...]):
@@ -42,6 +48,34 @@ def _eq_and_hash(fields: tuple[str, ...]):
     return __eq__, __hash__
 
 
+@cache
+def _template(n: int) -> CodeType:
+    """The code of ``__init__(self, _0, ..., _n-1, /)``, which calls
+    ``s_i(self, _i)`` for each field in turn."""
+    args = "".join(f", _{i}" for i in range(n))
+    body = "".join(f"    s_{i}(self, _{i})\n" for i in range(n)) or "    pass\n"
+    return compile(f"def __init__(self{args}, /):\n{body}", f"<record constructor of {n} fields>", "exec").co_consts[0]
+
+
+class _Ungenerated:
+    """A class's ``_init``, and its ``__init__`` unless it writes one, until a
+    record of the class is first built.  Then the class's constructor is made
+    from the template for its field count, with its field names and with the
+    slots' setters (which bypass ``Record.__setattr__``) as the ``s_i``, and
+    takes this one's place.  Start-up builds no record, so it compiles none."""
+
+    def __get__(self, record, cls):
+        setters = {f"s_{i}": getattr(cls, name).__set__ for i, name in enumerate(cls._fields)}
+        init = cls._init = FunctionType(_template(len(cls._fields)).replace(co_varnames=("self", *cls._fields)), setters)
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        if cls.__dict__.get("__init__") is self:
+            cls.__init__ = init
+        return init if record is None else init.__get__(record, cls)
+
+
+_UNGENERATED = _Ungenerated()
+
+
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -52,15 +86,16 @@ class Record:
             raise TypeError(f"record class {cls.__name__} must declare __slots__")
         cls._fields = cls._fields + tuple(cls.__dict__["__slots__"])
         cls.__eq__, cls.__hash__ = _eq_and_hash(cls._fields)
-        # the slots' own setters, which bypass the __setattr__ below
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        cls._init = _UNGENERATED
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _UNGENERATED
 
-    def __init__(self, *values):
-        setters = self._setters
-        if len(values) != len(setters):
-            raise TypeError(f"{type(self).__name__} takes {len(setters)} fields, got {len(values)}")
-        for setter, value in zip(setters, values):
-            setter(self, value)
+    @classmethod
+    def _make(cls, *fields):
+        """The record with these fields, built without the class's checks."""
+        record = object.__new__(cls)
+        record._init(*fields)
+        return record
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -54,10 +54,6 @@ from .rationals import RationalAlgebra
 from .records import Record
 
 # -- syntax trees ---------------------------------------------------------------
-#
-# The parser builds one node per leaf and operator, so each node class sets
-# its fields in its own __init__, through the slots' setters, rather than
-# through the generic one.
 
 
 class Term(Record):
@@ -71,35 +67,21 @@ class Const(Term):
     __slots__ = ("value",)
     value: Fraction
 
-    def __init__(self, value: Fraction):
-        self._setters[0](self, value)
-
 
 class Var(Term):
     __slots__ = ("name",)
     name: str
-
-    def __init__(self, name: str):
-        self._setters[0](self, name)
 
 
 class Neg(Term):
     __slots__ = ("arg",)
     arg: Term
 
-    def __init__(self, arg: Term):
-        self._setters[0](self, arg)
-
 
 class _BinaryTerm(Term):
     __slots__ = ("left", "right")
     left: Term
     right: Term
-
-    def __init__(self, left: Term, right: Term):
-        set_left, set_right = self._setters
-        set_left(self, left)
-        set_right(self, right)
 
 
 class Oplus(_BinaryTerm):
@@ -389,7 +371,7 @@ def _envelope(ambient: RankAmbient, a) -> tuple[FiniteMV, Element]:
         comp.check(c)
     # the subalgebra generated by a rational p/q is the chain of order q, so
     # generating inside the product of those chains loses nothing
-    envelope = FiniteMV(c.denominator for c in coords)
+    envelope = FiniteMV._make(tuple([c.denominator for c in coords]))
     return envelope, coords
 
 

@@ -59,11 +59,6 @@ class FinSpace(Record):
     points: int
     nbhds: tuple[int, ...]
 
-    def __init__(self, points: int, nbhds: tuple[int, ...]):
-        set_points, set_nbhds = self._setters
-        set_points(self, points)
-        set_nbhds(self, nbhds)
-
     @staticmethod
     def from_sets(points: int, open_sets: Iterable[Iterable[int]]) -> "FinSpace":
         """The space whose opens are exactly ``open_sets``, which must form a
@@ -164,11 +159,6 @@ class Pi0Result(Record):
     __slots__ = ("space", "class_of")
     space: FinSpace
     class_of: tuple[int, ...]
-
-    def __init__(self, space: FinSpace, class_of: tuple[int, ...]):
-        set_space, set_class_of = self._setters
-        set_space(self, space)
-        set_class_of(self, class_of)
 
     @property
     def class_count(self) -> int:

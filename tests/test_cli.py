@@ -580,6 +580,16 @@ class TestResponseBudget:
         else:
             assert proc.stdout == "" and proc.stderr.startswith("error: decompose on ")
 
+    @pytest.mark.parametrize("command", ["pierce", "spec"])
+    @pytest.mark.parametrize("k, code", [(16, 0), (17, 2)], ids=["at-the-limit", "one-past-the-limit"])
+    def test_listing_commands_at_and_past_their_limit_in_512_mb(self, command, k, code):
+        proc = _run_in_512_mb([command, "--alg", json.dumps({"finite": [2] * k})])
+        assert proc.returncode == code and "Traceback" not in proc.stderr
+        if code == 0:
+            assert _leaves(json.loads(proc.stdout)) == PREDICTED_LEAVES[command](k)
+        else:
+            assert proc.stdout == "" and proc.stderr.startswith(f"error: {command} on 17 components")
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self):

@@ -24,6 +24,12 @@ def homs_without_divisibility(source, target):
     return [Hom(source, target, cm) for cm in iproduct(range(k_s), repeat=k_t)]
 
 
+def compose_reading_the_first_component(self, other):
+    """Hom.compose building a well-shaped map in which every target component
+    reads other's first entry; only the suite, not a constructor, can see it."""
+    return Hom._make(other.source, self.target, tuple([other.component_map[0] for _ in self.component_map]))
+
+
 def columns_tied_with_negation(algebra, gens):
     """Generator columns grouped as if c and 1 - c were the same column."""
     columns = {}
@@ -146,9 +152,13 @@ def pi0_classes_by_largest_member(space):
 MUTANTS = [  # (module, name, wrong, suite, size, the FAIL summary or a pattern it matches)
     pytest.param(
         coproducts, "lcm", max, "coproduct-universal", 3,
-        re.compile(r"AlgebraError at algebras\.py:\d+ in __init__: order 2 does not divide 3 "
-                   r"\(source component 1 -> target component 3\)"),
+        "pairing not surjective for FiniteMV([1, 2])+FiniteMV([1, 3]) -> FiniteMV([1, 3])",
         id="coproduct-lcm-as-max",
+    ),
+    pytest.param(
+        Hom, "compose", compose_reading_the_first_component, "coproduct-universal", 1,
+        "pairing not injective for FiniteMV([1])+FiniteMV([1, 1]) -> FiniteMV([1])",
+        id="compose-reading-the-first-component",
     ),
     pytest.param(
         verify, "enumerate_homs", homs_without_divisibility, "hom-oracle", 6,

@@ -184,14 +184,22 @@ def fields(record) -> tuple:
     return tuple(getattr(record, name) for name in record._fields)
 
 
+RECORD_CLASSES = {
+    cls
+    for module in (algebras, coproducts, lgroups, pierce, rationals, terms, topology, verify)
+    for cls in vars(module).values()
+    if isinstance(cls, type) and issubclass(cls, Record) and cls.__module__ == module.__name__
+}
+
+
 def test_every_record_class_is_covered():
-    modules = (algebras, coproducts, lgroups, pierce, rationals, terms, topology, verify)
-    classes = {
-        cls for module in modules for cls in vars(module).values()
-        if isinstance(cls, type) and issubclass(cls, Record) and cls.__module__ == module.__name__
-    }
     abstract = {terms.Term, terms._BinaryTerm}
-    assert classes - abstract == {type(r) for r in RECORDS}
+    assert RECORD_CLASSES - abstract == {type(r) for r in RECORDS}
+
+
+def test_only_the_validating_classes_write_their_own_constructor():
+    written = {cls for cls in RECORD_CLASSES if cls.__init__ is not cls._init}
+    assert written == {algebras.FiniteMV, algebras.Hom, algebras.Ideal, lgroups.SimplicialGroup}
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -216,6 +224,7 @@ def test_record_contract(record):
         with pytest.raises(AttributeError):
             delattr(record, cls._fields[0])
     assert copy.copy(record) == record and pickle.loads(pickle.dumps(record)) == record
+    assert cls._make(*fields(record)) == record
 
 
 def test_records_print_like_dataclasses():
@@ -242,6 +251,8 @@ def test_positional_construction_checks_the_arity():
         topology.Pi0Result(SPACE)
     with pytest.raises(TypeError):
         topology.Pi0Result(SPACE, (0, 0, 0), 3)
+    with pytest.raises(TypeError):  # positional only: no keywords
+        topology.Pi0Result(space=SPACE, class_of=(0, 0, 0))
 
 
 def test_subalgebras_with_different_generators_are_equal_and_hash_equal():
