@@ -11,8 +11,9 @@ rational interval.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import lcm, log10, prod
+from functools import cache
+from itertools import compress
+from math import gcd, isqrt, lcm, log10, prod
 from typing import Iterator, Mapping
 
 from .algebras import AlgebraError
@@ -25,38 +26,75 @@ INF = float("inf")
 MAX_ORDER_DIGITS = 4300
 _ORDER_BOUND = 10**MAX_ORDER_DIGITS
 
-# factorize tries divisors up to this bound only, so an order with no small
-# factor costs one bounded loop and a composite cofactor is refused
+# factorize tries the primes up to this bound only, so an order with no small
+# factor costs one bounded sweep and a composite cofactor is refused
 TRIAL_DIVISION_BOUND = 10**6
+
+# The primes up to TRIAL_DIVISION_BOUND come in leaves of _LEAF_PRIMES
+# consecutive primes, each kept with its product: one gcd with a leaf's
+# product shows whether any of its primes divides n, so a long n costs one
+# gcd per leaf, not one remainder per prime.  The leaves below
+# _SMALL_TABLE_BOUND are sieved apart and first, so an order below
+# _SMALL_TABLE_BOUND**2 never builds the rest; neither table is built before
+# factorize needs it.
+_LEAF_PRIMES = 128
+_SMALL_TABLE_BOUND = 1 << 16
+
+
+@cache
+def _prime_leaves(lo: int, hi: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(first prime, product, primes) of the leaves of the primes in lo..hi-1."""
+    sieve = bytearray([1]) * (hi // 2)  # sieve[i] stands for 2i + 1
+    sieve[0] = 0
+    for i in range(1, (isqrt(hi - 1) - 1) // 2 + 1):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
+    primes = [2] * (lo <= 2) + list(compress(range(lo | 1, hi, 2), sieve[lo // 2 :]))
+    leaves = (primes[i : i + _LEAF_PRIMES] for i in range(0, len(primes), _LEAF_PRIMES))
+    return tuple((leaf[0], prod(leaf), tuple(leaf)) for leaf in leaves)
+
+
+def _small_prime_divisors(n: int) -> Iterator[int]:
+    """The primes up to TRIAL_DIVISION_BOUND that divide n, in increasing
+    order; the sweep stops at the first table or leaf whose first prime
+    squared exceeds n."""
+    for lo, hi in ((2, _SMALL_TABLE_BOUND), (_SMALL_TABLE_BOUND, TRIAL_DIVISION_BOUND + 1)):
+        if lo * lo > n:
+            return
+        for first, product, leaf in _prime_leaves(lo, hi):
+            if first * first > n:
+                return
+            g = gcd(n, product)
+            if g > 1:
+                yield from (p for p in leaf if g % p == 0)
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division up to TRIAL_DIVISION_BOUND.
-    Its one caller is RationalAlgebra.join, which factorizes the order of a
-    finite chain joined with an algebra that has an infinite prime.
-    Whenever what is left of n lies between TRIAL_DIVISION_BOUND and
-    PRIME_KEY_BOUND, at the start and after each prime divided out,
-    _is_prime is asked first, and a prime ends the division at once.  If
-    the divisors run out below the square root of what is left, that is not
-    a prime _is_prime can decide, and n is refused with AlgebraError."""
+    """Prime factorization by trial division by the primes up to
+    TRIAL_DIVISION_BOUND.  Its one caller is RationalAlgebra.join, which
+    factorizes the order of a finite chain joined with an algebra that has
+    an infinite prime.  What is left of n, at the start and after each prime
+    divided out, is asked of _is_prime when it lies below PRIME_KEY_BOUND,
+    and a prime (or 1) ends the division at once.  If the primes run out
+    first, what is left has no prime factor up to TRIAL_DIVISION_BOUND and
+    is not a prime _is_prime can decide, and n is refused with AlgebraError."""
     if n < 1:
         raise AlgebraError(f"cannot factorize {n}")
     out: dict[int, int] = {}
-    if not TRIAL_DIVISION_BOUND < n < PRIME_KEY_BOUND or not _is_prime(n):
-        for d in chain((2,), range(3, TRIAL_DIVISION_BOUND + 1, 2)):
-            if d * d > n:
-                break  # what is left is 1 or a prime
-            if n % d == 0:
-                while n % d == 0:
-                    out[d] = out.get(d, 0) + 1
-                    n //= d
-                if TRIAL_DIVISION_BOUND < n < PRIME_KEY_BOUND and _is_prime(n):
-                    break
-        else:  # what is left was asked about above, or lies beyond PRIME_KEY_BOUND
-            raise AlgebraError(
-                f"cannot factorize: trial division up to {TRIAL_DIVISION_BOUND} leaves a "
-                f"{len(str(n))}-digit cofactor that is not a prime below {PRIME_KEY_BOUND}"
-            )
+    if not (n < PRIME_KEY_BOUND and _is_prime(n)):
+        for p in _small_prime_divisors(n):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+            if n == 1 or n < PRIME_KEY_BOUND and _is_prime(n):
+                break
+        else:
+            if n > 1:
+                raise AlgebraError(
+                    f"cannot factorize: trial division up to {TRIAL_DIVISION_BOUND} leaves a "
+                    f"{len(str(n))}-digit cofactor that is not a prime below {PRIME_KEY_BOUND}"
+                )
     if n > 1:
         out[n] = 1
     return out

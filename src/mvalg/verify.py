@@ -23,6 +23,7 @@ from math import gcd
 
 from .algebras import (
     FiniteMV,
+    ProductSplit,
     _is_boolean,
     _meet,
     enumerate_homs,
@@ -64,7 +65,10 @@ from .topology import (
     space_to_json,
 )
 
-EXHAUSTIVE_SPLIT_BOUND = 20000  # pairing bijectivity by exhaustion up to this carrier size
+# separability checks its witness split for bijectivity by exhaustion up to
+# this carrier size of A+A; the byte map takes one byte a code, so the bound
+# limits the time of the check, not its memory
+EXHAUSTIVE_SPLIT_BOUND = 20000
 SAMPLED_PAIR_DRAWS = 24  # pi0-products draws this many product pairs from its seed
 SAMPLED_PRODUCT_POINTS = 20  # from the partners whose product with a size-point space is this small
 
@@ -168,7 +172,12 @@ def check_separability(size: int, seed: int) -> tuple[str, dict]:
     """The witness and chain decomposition agree: every algebra in the sweep
     gets a Boolean complement of the codiagonal kernel whose split is a
     product decomposition, and the closed-form factors of ``is_separable``
-    are, in order, the rational embeddings of the factors of ``decompose``."""
+    are, in order, the rational embeddings of the factors of ``decompose``.
+    Up to EXHAUSTIVE_SPLIT_BOUND the split is checked to be a bijection
+    A+A -> part0 x part1 by exhaustion: each part's codes are indexed once,
+    and every code c of A+A marks the cell (index of q0 c, index of q1 c) of
+    a byte map with one byte per cell of part0 x part1.  A repeated cell, an
+    image outside its part, or a cell count other than |A+A| is a Violation."""
     catalog = list(iter_finite_algebras(max_components=3, max_order=size))
     checked = 0
     for a in catalog:
@@ -183,17 +192,35 @@ def check_separability(size: int, seed: int) -> tuple[str, dict]:
             raise Violation(f"witness split of {a} is not complementary")
         if split.part1.orders != a.orders:
             raise Violation(f"codiagonal leg of {a} is not the algebra itself")
-        if cert.coproduct.algebra.size <= EXHAUSTIVE_SPLIT_BOUND:
-            q0, q1 = split.q0._code_action(), split.q1._code_action()
-            seen = {(q0(c), q1(c)) for c in cert.coproduct.algebra._codes()}
-            if len(seen) != cert.coproduct.algebra.size:
-                raise Violation(f"witness split of {a} is not bijective")
+        if cert.coproduct.algebra.size <= EXHAUSTIVE_SPLIT_BOUND and not _split_is_bijective(split):
+            raise Violation(f"witness split of {a} is not bijective")
         result = is_separable(a)
         if not result.separable or result.factors != tuple(holder_embed(f) for f in decompose(a).factors):
             raise Violation(f"decomposition route disagrees for {a}")
         checked += 1
     summary = f"{checked} algebras (<= 3 components, orders <= {size}): witness and decomposition agree"
     return summary, {"algebras": checked}
+
+
+def _split_is_bijective(split: ProductSplit) -> bool:
+    """c -> (q0 c, q1 c) is a bijection from the ambient algebra onto
+    part0 x part1, decided on a byte map of the pairs' cells."""
+    index0 = {k: i for i, k in enumerate(split.part0._codes())}
+    index1 = {k: i for i, k in enumerate(split.part1._codes())}
+    width = len(index1)
+    hit = bytearray(len(index0) * width)
+    if len(hit) != split.ambient.size:
+        return False
+    q0, q1 = split.q0._code_action(), split.q1._code_action()
+    for c in split.ambient._codes():
+        i0, i1 = index0.get(q0(c)), index1.get(q1(c))
+        if i0 is None or i1 is None:  # an image outside its part
+            return False
+        cell = i0 * width + i1
+        if hit[cell]:  # a repeated image
+            return False
+        hit[cell] = 1
+    return True
 
 
 # -- 5: subterminality = single chain ----------------------------------------------

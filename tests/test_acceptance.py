@@ -6,6 +6,8 @@ the stated runtime budgets where one applies.  ``mvalg verify --all`` runs the
 same suites.
 """
 
+import tracemalloc
+
 import pytest
 
 from mvalg.verify import CRITERIA, run_criterion
@@ -65,6 +67,19 @@ def test_criterion_03_pierce_preserves_coproducts():
 def test_criterion_04_separability_structure():
     report = _run("separability")
     assert report.stats["algebras"] == 35
+
+
+def test_separability_checks_its_splits_in_under_a_megabyte():
+    # the largest A+A in the sweep, FiniteMV([2, 2, 2]) + itself, has 19,683
+    # codes; a byte map of their images takes 19,683 bytes, where a set of
+    # the image pairs took over 6 MB
+    tracemalloc.start()
+    try:
+        assert run_criterion("separability").passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"separability peaked at {peak} traced bytes"
 
 
 def test_criterion_05_subterminal_chains():

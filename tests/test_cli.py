@@ -372,7 +372,29 @@ class TestErrorHandling:
         assert code == 2 and out == "" and err.startswith("error:") and "Traceback" not in err
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("argv", HANG_REQUESTS, ids=["decompose-chain", "separable-finite", "separable-product"])
+    def test_join_with_a_cofactor_trial_division_cannot_decide_exits_2_at_once(self, capsys):
+        # 777...7 (4,000 digits) next to an infinite prime must be factorized;
+        # its cofactor after the primes up to 10^6 has 3,875 digits
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "coproduct", "--alg", '{"rational":{"kind":"chain","n":%s}}' % ("7" * 4000),
+            "--alg", '{"rational":{"kind":"supernatural","primes":{"2":"inf"},"all":false}}',
+        )
+        assert code == 2 and out == "" and err.startswith("error: cannot factorize") and "Traceback" not in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_join_with_a_long_smooth_order_is_accepted_at_once(self, capsys):
+        # 999983^666 has 3,996 digits and only the largest prime below 10^6
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "coproduct", "--alg", '{"rational":{"kind":"chain","n":%d}}' % 999983**666,
+            "--alg", '{"rational":{"kind":"supernatural","primes":{"2":"inf"},"all":false}}',
+        )
+        assert code == 0
+        assert json.loads(out)["algebra"]["rational"]["primes"] == {"2": "inf", "999983": 666}
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("argv", HANG_REQUESTS,ids=["decompose-chain", "separable-finite", "separable-product"])
     def test_chain_order_with_no_small_factor_is_decided_at_once(self, capsys, argv):
         # a chain is stored as its order, so 10^18 + 3 is never factorized
         start = time.perf_counter()

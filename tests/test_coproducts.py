@@ -287,6 +287,15 @@ class TestFactorize:
         assert factorize(2**3 * 1000003) == {2: 3, 1000003: 1}
         assert factorize(12 * (10**18 + 3)) == {2: 2, 3: 1, 10**18 + 3: 1}
 
+    def test_finds_the_primes_at_both_ends_of_each_prime_table(self):
+        # 65521 and 65537 straddle the bound between the small and the large
+        # table; 999983 is the last prime below the trial-division bound
+        from mvalg.rationals import factorize
+
+        caps = {2: 5, 65521: 2, 65537: 1, 999979: 1, 999983: 666}
+        assert factorize(prod(p**e for p, e in caps.items())) == caps
+        assert factorize(prod(p**e for p, e in caps.items()) * (10**18 + 3)) == caps | {10**18 + 3: 1}
+
     @pytest.mark.parametrize(
         "primes",
         [(1000003, 1000033), (1000003, 1000003), (1000003, 10**18 + 3), (2**89 - 1,)],

@@ -63,6 +63,26 @@ def code_action_without_rescale(hom):
     return lambda k: tuple(k[i] for i in hom.component_map)
 
 
+def code_action_reading_the_first_kept_component(hom):
+    """Hom._code_action in which every target component reads the source
+    component the first one reads, rescaled to its own order; a leg of the
+    witness split then maps distinct codes of A+A to one image."""
+    m = hom.source.orders
+    scaled = [(hom.component_map[0], n // m[hom.component_map[0]]) for n in hom.target.orders]
+    return lambda k: tuple([k[i] * s for i, s in scaled])
+
+
+correct_code_action = Hom._code_action  # the unpatched action, saved before any row patches it
+
+
+def code_action_past_the_top(hom):
+    """Hom._code_action sending each top numerator n to n + 1, outside the
+    target chain; the images stay distinct, so only a check that they lie
+    in the target sees it."""
+    act = correct_code_action(hom)
+    return lambda k: tuple([j + 1 if j == n else j for j, n in zip(act(k), hom.target.orders)])
+
+
 def subterminal_also_when_trivial(algebra):
     """is_subterminal_epic counting the trivial algebra as a single chain."""
     return algebra.num_components <= 1
@@ -180,6 +200,16 @@ MUTANTS = [  # (module, name, wrong, suite, size, the FAIL summary or a pattern 
         coproducts, "chi", chi_complemented, "separability", 1,
         "no witness for FiniteMV([1]): the diagonal indicator does not complement the codiagonal kernel",
         id="witness-off-diagonal",
+    ),
+    pytest.param(
+        Hom, "_code_action", code_action_reading_the_first_kept_component, "separability", 1,
+        "witness split of FiniteMV([1, 1]) is not bijective",
+        id="code-action-reading-the-first-kept-component",
+    ),
+    pytest.param(
+        Hom, "_code_action", code_action_past_the_top, "separability", 1,
+        "witness split of FiniteMV([1]) is not bijective",
+        id="code-action-past-the-top",
     ),
     pytest.param(
         verify, "is_separable", factors_reversed, "separability", 2,
