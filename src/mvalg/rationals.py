@@ -84,9 +84,7 @@ def factorize(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     if not (n < PRIME_KEY_BOUND and _is_prime(n)):
         for p in _small_prime_divisors(n):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
+            n, out[p] = _divide_out(n, p)
             if n == 1 or n < PRIME_KEY_BOUND and _is_prime(n):
                 break
         else:
@@ -98,6 +96,24 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = 1
     return out
+
+
+def _divide_out(n: int, p: int) -> tuple[int, int]:
+    """(n / p**e, e) for the exponent e of p in n.  n is divided by p, p**2,
+    p**4, ... while each divides it, then by the same powers back down while
+    each still does, so e costs O(log e) divisions, not e."""
+    powers = []  # powers[i] is p**(2**i)
+    power, e = p, 0
+    while n % power == 0:
+        n //= power
+        e += 1 << len(powers)
+        powers.append(power)
+        power *= power
+    for i in reversed(range(len(powers))):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            e += 1 << i
+    return n, e
 
 
 # Miller-Rabin to the first 13 prime bases decides primality exactly below

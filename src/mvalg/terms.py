@@ -25,6 +25,9 @@ A term may nest at most MAX_TERM_DEPTH levels deep: a leaf is one level, and
 each ``!``, each binary operator and each pair of parentheses adds one above
 its operands.  The parser rejects deeper input with a ParseError before it
 recurses that far, so evaluation and printing never meet a deeper tree.
+
+The parser scans the text once and parses it by precedence climbing over
+``_BINARY``, the table of binary operators that the printer reads too.
 """
 
 from __future__ import annotations
@@ -114,138 +117,87 @@ _ATOM_LEVEL = _NEG_LEVEL + 1
 
 MAX_TERM_DEPTH = 64
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+*!^()/]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.group("int") is not None:
-            tokens.append(("int", m.group("int"), m.start("int")))
-        elif m.group("ident") is not None:
-            word = m.group("ident")
-            kind = "op" if word == "v" else "ident"
-            tokens.append((kind, word, m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.enclosing = 0  # '!' and '(' constructs open around the current position
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str) -> None:
-        tok = self.take()
-        if tok[0] != "op" or tok[1] != value:
-            raise ParseError(f"expected {value!r}, got {tok[1]!r}", tok[2])
-
-    def parse(self) -> Term:
-        t, _ = self.parse_binary()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return t
-
-    # parse_binary and parse_unary return a subterm with its depth.  The
-    # whole term is at least as deep as the constructs still open around a
-    # subterm plus the subterm itself, so the budget is checked against that
-    # sum: on the way down at every '!' and '(', and on the way up at every
-    # binary node.
-
-    def _check_depth(self, depth: int, at: int) -> int:
-        if self.enclosing + depth > MAX_TERM_DEPTH:
-            raise ParseError(f"term nests more than {MAX_TERM_DEPTH} levels deep", at)
-        return depth
-
-    def _nested(self, at: int, inner) -> tuple[Term, int]:
-        """Parse the operand of a '!' or '(' at position ``at``."""
-        self.enclosing += 1
-        self._check_depth(1, at)
-        t, depth = inner()
-        self.enclosing -= 1
-        return t, depth + 1
-
-    def parse_binary(self, level: int = 0) -> tuple[Term, int]:
-        """A left-associated run of the operator at ``level`` in _BINARY,
-        whose operands are parsed at the next tighter level."""
-        if level == len(_BINARY):
-            return self.parse_unary()
-        node, symbol = _BINARY[level]
-        t, depth = self.parse_binary(level + 1)
-        while (tok := self.peek()) is not None and tok[0] == "op" and tok[1] == symbol:
-            self.take()
-            right, right_depth = self.parse_binary(level + 1)
-            t, depth = node(t, right), self._check_depth(1 + max(depth, right_depth), tok[2])
-        return t, depth
-
-    def parse_unary(self) -> tuple[Term, int]:
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "!":
-            self.take()
-            t, depth = self._nested(tok[2], self.parse_unary)
-            return Neg(t), depth
-        if tok is not None and tok[0] == "op" and tok[1] == "(":
-            self.take()
-            return self._nested(tok[2], self._parenthesised)
-        return self.parse_leaf(), 1
-
-    def _parenthesised(self) -> tuple[Term, int]:
-        inner = self.parse_binary()
-        self.expect(")")
-        return inner
-
-    def parse_leaf(self) -> Term:
-        kind, value, at = self.take()
-        if kind == "ident":
-            return Var(value)
-        if kind != "int":
-            raise ParseError(f"unexpected {value!r}", at)
-        nxt = self.peek()
-        if nxt is None or nxt[0] != "op" or nxt[1] != "/":
-            if value not in _BARE:
-                raise ParseError(f"bare integer {value!r} is not a term (only 0, 1, fractions)", at)
-            frac = _BARE[value]
-        else:
-            self.take()
-            den_tok = self.take()
-            if den_tok[0] != "int":
-                raise ParseError("malformed fraction: expected a denominator", den_tok[2])
-            num, den = int(value), int(den_tok[1])
-            if den == 0:
-                raise ParseError("malformed fraction: zero denominator", den_tok[2])
-            frac = Fraction(num, den)
-            if not ZERO <= frac <= ONE:
-                raise ParseError(f"malformed fraction: {num}/{den} is outside [0,1]", at)
-        return Const(frac)
-
-
+# One scan reads a number, a word, an operator symbol, or any other
+# non-space character, which is an error.  The word "v" is the join operator.
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+*!^()/])|(?P<bad>\S))")
+_OPERATOR_LEVEL = {symbol: level for level, (_, symbol) in enumerate(_BINARY)}
 _BARE = {"0": ZERO, "1": ONE}  # the integers a term may write without a denominator
 
 
 def parse_term(text: str) -> Term:
-    return _Parser(text).parse()
+    """Parse ``text`` by precedence climbing over _BINARY.
+
+    Each subterm is parsed with its depth.  The whole term is at least as
+    deep as the '!' and '(' constructs still open around a subterm plus the
+    subterm itself, so the budget is checked against that sum: on the way
+    down at every '!' and '(', and on the way up at every binary node."""
+    tokens = []  # (kind, text, position)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append(("op" if m[kind] == "v" else kind, m[kind], m.start(kind)))
+    tokens.append(("end", "", len(text)))
+    tokens.reverse()  # so that tokens.pop() takes the next token, and tokens[-1] peeks at it
+
+    def take() -> tuple[str, str, int]:
+        if len(tokens) == 1:
+            raise ParseError("unexpected end of input", len(text))
+        return tokens.pop()
+
+    def budget(depth: int, enclosing: int, at: int) -> int:
+        if enclosing + depth > MAX_TERM_DEPTH:
+            raise ParseError(f"term nests more than {MAX_TERM_DEPTH} levels deep", at)
+        return depth
+
+    def binary(level: int, enclosing: int) -> tuple[Term, int]:
+        """A left-associated run of the operators at ``level`` or looser;
+        the right operand of each takes only the operators tighter than it."""
+        t, depth = unary(enclosing)
+        while (op_level := _OPERATOR_LEVEL.get(tokens[-1][1], -1)) >= level:
+            at = tokens.pop()[2]
+            right, right_depth = binary(op_level + 1, enclosing)
+            t = _BINARY[op_level][0](t, right)
+            depth = budget(1 + max(depth, right_depth), enclosing, at)
+        return t, depth
+
+    def unary(enclosing: int) -> tuple[Term, int]:
+        """A '!' or '(' construct, or a leaf."""
+        kind, value, at = take()
+        if value in ("!", "("):
+            budget(1, enclosing + 1, at)
+            if value == "!":
+                t, depth = unary(enclosing + 1)
+                return Neg(t), depth + 1
+            t, depth = binary(0, enclosing + 1)
+            _, close, close_at = take()
+            if close != ")":
+                raise ParseError(f"expected ')', got {close!r}", close_at)
+            return t, depth + 1
+        if kind == "var":
+            return Var(value), 1
+        if kind != "int":
+            raise ParseError(f"unexpected {value!r}", at)
+        if tokens[-1][1] != "/":
+            if value not in _BARE:
+                raise ParseError(f"bare integer {value!r} is not a term (only 0, 1, fractions)", at)
+            return Const(_BARE[value]), 1
+        tokens.pop()
+        den_kind, den, den_at = take()
+        if den_kind != "int":
+            raise ParseError("malformed fraction: expected a denominator", den_at)
+        num, den = int(value), int(den)
+        if den == 0:
+            raise ParseError("malformed fraction: zero denominator", den_at)
+        frac = Fraction(num, den)
+        if not ZERO <= frac <= ONE:
+            raise ParseError(f"malformed fraction: {num}/{den} is outside [0,1]", at)
+        return Const(frac), 1
+
+    t, _ = binary(0, 0)
+    if len(tokens) > 1:
+        raise ParseError(f"unexpected {tokens[-1][1]!r}", tokens[-1][2])
+    return t
 
 
 def term_to_str(term: Term) -> str:

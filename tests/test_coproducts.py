@@ -296,6 +296,16 @@ class TestFactorize:
         assert factorize(prod(p**e for p, e in caps.items())) == caps
         assert factorize(prod(p**e for p, e in caps.items()) * (10**18 + 3)) == caps | {10**18 + 3: 1}
 
+    def test_exact_exponents_of_long_prime_powers(self):
+        # near the 4,300-digit limit of an order, and exponents on either
+        # side of each power of two
+        from mvalg.rationals import factorize
+
+        assert factorize(2**14280) == {2: 14280}
+        assert factorize(999983**666) == {999983: 666}
+        assert factorize(3**8000 * 7**100) == {3: 8000, 7: 100}
+        assert all(factorize(3**e * 5) == {3: e, 5: 1} for e in range(1, 300))
+
     @pytest.mark.parametrize(
         "primes",
         [(1000003, 1000033), (1000003, 1000003), (1000003, 10**18 + 3), (2**89 - 1,)],

@@ -5,13 +5,20 @@ wrote the golden files; a change meant to alter the output regenerates them
 with it and says so.
 """
 
+import importlib.util
 import json
+import os
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 from mvalg.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CLI_CORPUS = json.loads((GOLDEN / "cli_golden.json").read_text())
+SRC = GOLDEN.parent.parent / "src"
 
 
 def test_verify_all_at_size_3_matches_the_golden_bytes(capsys):
@@ -33,3 +40,34 @@ def test_cli_corpus_matches_the_golden_bytes(capsys):
         if (capsys.readouterr().out, code) != (request["stdout"], request["exit"]):
             mismatched.append([arg[:80] for arg in request["argv"]])
     assert mismatched == []
+
+
+def _replay_module():
+    spec = importlib.util.spec_from_file_location("replay", GOLDEN / "replay.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_replay_names_the_first_request_that_differs():
+    first_difference = _replay_module().first_difference
+    assert first_difference(CLI_CORPUS[:3]) is None
+    tampered = [CLI_CORPUS[0], {**CLI_CORPUS[1], "exit": 9}, {**CLI_CORPUS[2], "stdout": ""}]
+    assert first_difference(tampered) == f"request 1 differs in exit code: argv {CLI_CORPUS[1]['argv']}"
+    assert first_difference(tampered[::2]).startswith("request 1 differs in stdout: argv ")
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_cli_corpus_replays_under_each_admitted_interpreter(python):
+    # a pyenv shim is found on the path even when its version is not
+    # installed, so an interpreter counts only once it runs and reports
+    # its own major.minor version
+    path = shutil.which(python)
+    probe = path and subprocess.run(
+        [path, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"], capture_output=True, text=True
+    )
+    if not probe or probe.returncode != 0 or probe.stdout.strip() != python.removeprefix("python"):
+        pytest.skip(f"{python} does not start here")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([path, str(GOLDEN / "replay.py")], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stdout + result.stderr

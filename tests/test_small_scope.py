@@ -9,10 +9,11 @@ evaluation on ``oracles.op_tables`` indices.
 
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from mvalg.algebras import FiniteMV
+from mvalg.algebras import FiniteMV, ParseError
 from mvalg.cli import main
 from mvalg.oracles import components_bruteforce, is_topology_pairwise, op_tables
 from mvalg.terms import Const, Join, Meet, Neg, Odot, Oplus, Var, eval_term, parse_term, term_to_str
@@ -111,3 +112,24 @@ def test_eval_agrees_with_the_tables_on_every_small_term(orders, nodes):
     for term in (t for size in terms_by_size(nodes) for t in size):
         got = [eval_term(term, {"x": elements[i], "y": elements[j]}, algebra) for i, j in environments]
         assert got == [elements[v] for v in reference(term)], term_to_str(term)
+
+
+# -- the parser on every short string -----------------------------------------------
+
+TOKENS = ["x", "y", "v", "0", "1", "2", "/", "+", "*", "^", "!", "(", ")", "&"]
+
+
+def test_every_string_of_at_most_four_tokens_parses_or_fails_with_a_position():
+    # joined without spaces, neighbouring tokens merge: "x" "y" is the
+    # variable "xy", "1" "2" the integer 12
+    texts = {sep.join(tokens) for n in range(5) for tokens in product(TOKENS, repeat=n) for sep in (" ", "")}
+    parsed = 0
+    for text in texts:
+        try:
+            term = parse_term(text)
+        except ParseError as err:
+            assert 0 <= err.position <= len(text), text
+            continue
+        assert parse_term(term_to_str(term)) == term, text
+        parsed += 1
+    assert (len(texts), parsed) == (82_727, 1_812)

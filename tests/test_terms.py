@@ -50,12 +50,30 @@ class TestParser:
         assert [term_to_str(parse_term(text)) for text in ["0/1", "3/3", "2/4"]] == ["0", "1", "1/2"]
 
     @pytest.mark.parametrize(
-        "bad", ["", "x +", "(x", "3/2", "1/0", "2", "x y", "&", "!"]
+        "bad, message",
+        [
+            ("", "unexpected end of input (at position 0)"),
+            ("x +", "unexpected end of input (at position 3)"),
+            ("(x", "unexpected end of input (at position 2)"),
+            ("3/2", "malformed fraction: 3/2 is outside [0,1] (at position 0)"),
+            ("1/0", "malformed fraction: zero denominator (at position 2)"),
+            ("2", "bare integer '2' is not a term (only 0, 1, fractions) (at position 0)"),
+            ("x y", "unexpected 'y' (at position 2)"),
+            ("&", "unexpected character '&' (at position 0)"),
+            ("!", "unexpected end of input (at position 1)"),
+            ("1/", "unexpected end of input (at position 2)"),
+            ("1/x", "malformed fraction: expected a denominator (at position 2)"),
+            ("(x))", "unexpected ')' (at position 3)"),
+            ("v", "unexpected 'v' (at position 0)"),
+            ("x v", "unexpected end of input (at position 3)"),
+            ("!" * 65 + "x", "term nests more than 64 levels deep (at position 63)"),
+        ],
     )
-    def test_syntax_errors_carry_position(self, bad):
+    def test_syntax_errors_carry_position(self, bad, message):
         with pytest.raises(ParseError) as err:
             parse_term(bad)
-        assert "position" in str(err.value)
+        assert str(err.value) == message
+        assert err.value.position == int(message.rsplit(" ", 1)[1].rstrip(")"))
 
 
 def _nested(kind: str, depth: int) -> str:
