@@ -35,7 +35,7 @@ from .algebras import (
     product_split,
 )
 from .pierce import chi
-from .rationals import RationalAlgebra
+from .rationals import _ORDER_BOUND, MAX_ORDER_DIGITS, RationalAlgebra
 from .records import Record
 
 
@@ -52,8 +52,13 @@ class CoproductResult(Record):
 
 
 def coproduct_finite(a: FiniteMV, b: FiniteMV) -> CoproductResult:
+    """A + B, refused before anything is built when an lcm of two chain
+    orders has more than MAX_ORDER_DIGITS digits."""
     grid = tuple((i, j) for i in range(a.num_components) for j in range(b.num_components))
-    algebra = FiniteMV._make(tuple([lcm(a.orders[i], b.orders[j]) for i, j in grid]))
+    orders = tuple([lcm(a.orders[i], b.orders[j]) for i, j in grid])
+    if orders and max(orders) >= _ORDER_BOUND:
+        raise AlgebraError(f"a component of the coproduct has an order of more than {MAX_ORDER_DIGITS} digits")
+    algebra = FiniteMV._make(orders)
     in0 = Hom._make(a, algebra, tuple([i for i, _ in grid]))
     in1 = Hom._make(b, algebra, tuple([j for _, j in grid]))
     codiag = None

@@ -1,12 +1,16 @@
 """JSON-compatible wire formats.
 
 Algebras: {"finite": [2, 3]}, {"rational": {"kind": "chain", "n": 6}},
-{"rational": {"kind": "supernatural", "primes": {"2": "inf"}, "all": false}},
+{"rational": {"kind": "supernatural", "primes": {"2": "inf"}, "n": 3, "all": false}},
 {"product": [rational...]}, {"simplicial": {"rank": 2, "unit": [2, 3]}}.
-Elements are lists of fraction strings (["1/2", "1/3"]): digits "p" or "p/q",
+A supernatural algebra is its primes table (each cap "inf" or a JSON
+integer) joined with the chain of order "n" (default 1); it is printed with
+its infinite primes, and with "n" only when its order exceeds 1.  Elements
+are lists of fraction strings (["1/2", "1/3"]): ASCII digits "p" or "p/q",
 read as the rational p/q, so "2/4" is 1/2 (JSON integers are accepted too);
 environments map variable names to fraction strings; spaces are
-{"points": n, "opens": [[...], ...]}.
+{"points": n, "opens": [[...], ...]}.  No numeral in a string may have more
+than MAX_ORDER_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 
 from .algebras import AlgebraError, Element, FiniteMV, Hom
 from .lgroups import SimplicialGroup
-from .rationals import INF, RationalAlgebra
+from .rationals import INF, RationalAlgebra, read_int
 from .topology import parse_space_json, space_to_json  # re-exported
 
 __all__ = [
@@ -56,14 +60,12 @@ _PRIME_KEY = re.compile(r"[1-9][0-9]*")
 
 def parse_fraction(text) -> Fraction:
     """A Fraction, a JSON integer, or a string of digits "p" or "p/q"; no
-    sign, space, decimal point or exponent."""
+    sign, space, decimal point or exponent, and at most MAX_ORDER_DIGITS
+    digits a numeral."""
     if isinstance(text, Fraction) or _is_int(text):
         f = Fraction(text)
     elif isinstance(text, str) and (m := _FRACTION.fullmatch(text)):
-        try:
-            num, den = int(m[1]), int(m[2] or 1)
-        except ValueError as exc:  # int() refuses very long digit strings
-            raise FormatError(f"malformed fraction {text[:20]!r}...: {exc}") from None
+        num, den = read_int(m[1], FormatError), read_int(m[2] or "1", FormatError)
         if den == 0:
             raise FormatError(f"malformed fraction {text!r}: zero denominator")
         f = Fraction(num, den)
@@ -116,10 +118,7 @@ def _parse_rational(obj) -> RationalAlgebra:
         for p, e in primes.items():
             if not _PRIME_KEY.fullmatch(p):
                 raise FormatError(f"bad prime {p!r}: expected digits with no sign, space or leading zero")
-            try:
-                prime = int(p)
-            except ValueError as exc:  # int() refuses very long digit strings
-                raise FormatError(f"bad prime {p[:20]!r}...: {exc}") from None
+            prime = read_int(p, FormatError)
             if e == "inf":
                 caps[prime] = INF
             elif _is_int(e) and e >= 0:
@@ -129,7 +128,7 @@ def _parse_rational(obj) -> RationalAlgebra:
         all_infinite = obj.get("all", False)
         if not isinstance(all_infinite, bool):
             raise FormatError(f'"all" must be true or false, got {all_infinite!r}')
-        return RationalAlgebra.supernatural(caps, all_infinite)
+        return RationalAlgebra.supernatural(caps, all_infinite).join(RationalAlgebra.chain(obj.get("n", 1)))
     raise FormatError(f"unknown rational algebra kind {obj['kind']!r}")
 
 
@@ -173,8 +172,10 @@ def rational_to_json(r: RationalAlgebra) -> dict:
     n = r.chain_order()
     if n is not None:
         return {"rational": {"kind": "chain", "n": n}}
-    primes = {str(p): ("inf" if e == INF else e) for p, e in r.exponents}
-    return {"rational": {"kind": "supernatural", "primes": primes, "all": r.all_infinite}}
+    out = {"kind": "supernatural", "primes": {str(p): "inf" for p in r.infinite}, "all": r.all_infinite}
+    if r.order > 1:
+        out["n"] = r.order
+    return {"rational": out}
 
 
 def algebra_to_json(algebra) -> dict:

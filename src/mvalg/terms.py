@@ -53,7 +53,7 @@ from .algebras import (  # TermError and ParseError are re-exported
     _odot,
     _oplus,
 )
-from .rationals import RationalAlgebra
+from .rationals import RationalAlgebra, read_int
 from .records import Record
 
 # -- syntax trees ---------------------------------------------------------------
@@ -117,9 +117,10 @@ _ATOM_LEVEL = _NEG_LEVEL + 1
 
 MAX_TERM_DEPTH = 64
 
-# One scan reads a number, a word, an operator symbol, or any other
-# non-space character, which is an error.  The word "v" is the join operator.
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+*!^()/])|(?P<bad>\S))")
+# One scan reads a number in ASCII digits, a word, an operator symbol, or any
+# other non-space character, which is an error.  The word "v" is the join
+# operator.  A numeral is converted by rationals.read_int, within its budget.
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<var>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+*!^()/])|(?P<bad>\S))")
 _OPERATOR_LEVEL = {symbol: level for level, (_, symbol) in enumerate(_BINARY)}
 _BARE = {"0": ZERO, "1": ONE}  # the integers a term may write without a denominator
 
@@ -180,13 +181,13 @@ def parse_term(text: str) -> Term:
             raise ParseError(f"unexpected {value!r}", at)
         if tokens[-1][1] != "/":
             if value not in _BARE:
-                raise ParseError(f"bare integer {value!r} is not a term (only 0, 1, fractions)", at)
+                raise ParseError(f"bare integer {value[:20]!r} is not a term (only 0, 1, fractions)", at)
             return Const(_BARE[value]), 1
         tokens.pop()
         den_kind, den, den_at = take()
         if den_kind != "int":
             raise ParseError("malformed fraction: expected a denominator", den_at)
-        num, den = int(value), int(den)
+        num, den = read_int(value, ParseError, at), read_int(den, ParseError, den_at)
         if den == 0:
             raise ParseError("malformed fraction: zero denominator", den_at)
         frac = Fraction(num, den)

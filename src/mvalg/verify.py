@@ -19,7 +19,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product as iproduct
-from math import gcd
+from math import gcd, lcm
 
 from .algebras import (
     FiniteMV,
@@ -31,6 +31,7 @@ from .algebras import (
 )
 from .coproducts import (
     coproduct_finite,
+    coproduct_rational,
     is_separable,
     is_subterminal_epic,
     separability_witness,
@@ -53,7 +54,7 @@ from .pierce import (
     holder_embed,
     phi,
 )
-from .rationals import RationalAlgebra
+from .rationals import INF, RationalAlgebra
 from .records import Record
 from .terms import generated_subalgebra, order_rank
 from .topology import (
@@ -71,6 +72,9 @@ from .topology import (
 EXHAUSTIVE_SPLIT_BOUND = 20000
 SAMPLED_PAIR_DRAWS = 24  # pi0-products draws this many product pairs from its seed
 SAMPLED_PRODUCT_POINTS = 20  # from the partners whose product with a size-point space is this small
+# coproduct-universal truncates each rational algebra to the chain of the
+# lcm of its denominators that divide this number (2^3 * 3^2 * 5)
+RATIONAL_TRUNCATION = 360
 
 
 class Violation(Exception):
@@ -110,7 +114,8 @@ def check_hom_oracle(size: int, seed: int) -> tuple[str, dict]:
 
 def check_coproduct_universal(size: int, seed: int) -> tuple[str, dict]:
     """Precomposition with (in0, in1) is a bijection
-    Hom(A+B, C) -> Hom(A, C) x Hom(B, C) over the stated sweep."""
+    Hom(A+B, C) -> Hom(A, C) x Hom(B, C) over the stated sweep; then the
+    rational join is checked against it (``_check_rational_joins``)."""
     summands = list(iter_finite_algebras(max_components=2, max_order=size))
     targets = list(iter_finite_algebras(max_components=2, max_order=2 * size))
     # maps[i][t]: the component maps of Hom(summands[i], targets[t])
@@ -133,7 +138,42 @@ def check_coproduct_universal(size: int, seed: int) -> tuple[str, dict]:
                     raise Violation(f"pairing not surjective for {a}+{b} -> {c}")
                 triples += 1
     summary = f"{triples} triples (summands orders <= {size}, targets <= {2 * size}), pairing bijective"
-    return summary, {"triples": triples}
+    return summary, {"triples": triples, "rational_joins": _check_rational_joins(size)}
+
+
+def _check_rational_joins(size: int) -> int:
+    """The rational join against the finite layer, from membership alone.
+    For chain orders m, n <= size, chain(m) + chain(n) is the Holder
+    embedding of L_m + L_n.  Over the 64 cap tables on {2, 3, 5} with caps
+    0, 1, 2 or INF, the chains of order <= 4 * size and the whole interval,
+    truncation commutes with the join: trunc(R + S) = trunc(R) + trunc(S),
+    where trunc(R) is the chain of order lcm{e | RATIONAL_TRUNCATION : 1/e in R}.
+    Returns the number of joins checked."""
+    for m in range(1, size + 1):
+        for n in range(1, size + 1):
+            joined = coproduct_rational(RationalAlgebra.chain(m), RationalAlgebra.chain(n))
+            if holder_embed(coproduct_finite(FiniteMV([m]), FiniteMV([n])).algebra) != joined:
+                raise Violation(f"chain({m}) + chain({n}) is {joined}, not the embedded finite coproduct")
+    unit_fractions = [(e, Fraction(1, e)) for e in range(1, RATIONAL_TRUNCATION + 1) if RATIONAL_TRUNCATION % e == 0]
+    truncations = {}  # each algebra met, by its record: contains reads nothing else
+
+    def trunc(r: RationalAlgebra) -> RationalAlgebra:
+        t = truncations.get(r)
+        if t is None:
+            t = truncations[r] = RationalAlgebra.chain(lcm(*[e for e, x in unit_fractions if r.contains(x)]))
+        return t
+
+    catalog = [
+        *(RationalAlgebra.supernatural(dict(zip((2, 3, 5), caps))) for caps in iproduct((0, 1, 2, INF), repeat=3)),
+        *(RationalAlgebra.chain(m) for m in range(1, 4 * size + 1)),
+        RationalAlgebra.full(),
+    ]
+    truncated = [(r, trunc(r)) for r in catalog]
+    for r, tr in truncated:
+        for s, ts in truncated:
+            if trunc(coproduct_rational(r, s)) != coproduct_rational(tr, ts):
+                raise Violation(f"truncation at {RATIONAL_TRUNCATION} does not commute with {r} + {s}")
+    return size * size + len(catalog) ** 2
 
 
 # -- 3: Boolean part of coproducts -------------------------------------------------

@@ -10,6 +10,7 @@ import sys
 import time
 from datetime import timedelta
 from fractions import Fraction
+from math import ceil, log10
 
 import pytest
 from hypothesis import example, given, settings
@@ -75,9 +76,12 @@ class TestFormats:
             with pytest.raises(FormatError):
                 parse_algebra(bad)
 
+    def test_algebra_to_json_refuses_an_unknown_object(self):
+        with pytest.raises(FormatError, match="cannot serialize"):
+            algebra_to_json(object())
 
-# requests whose chain order, the prime 10^18 + 3, has no factor below the
-# trial-division bound
+
+# requests whose chain order is the prime 10^18 + 3
 HANG_REQUESTS = [
     ["decompose", "--alg", '{"rational":{"kind":"chain","n":1000000000000000003}}'],
     ["separable", "--alg", '{"finite":[1000000000000000003]}'],
@@ -102,6 +106,46 @@ def large_prime_product(count):
 # its A + A would have 4,000,000 components, so subterminality must be read
 # off the chain orders
 SUBTERMINAL_2000 = ["subterminal", "--alg", json.dumps({"finite": [2] * 2000})]
+
+
+def zero_padded(value: int, width: int) -> str:
+    """value in decimal, with leading zeros up to width digits."""
+    return str(value).zfill(width)
+
+
+def digit_budget_rows(width: int, code: int) -> list:
+    """One request per integer position on the wire, each holding an integer
+    of ``width`` digits.  Where that integer is valid at its value, the
+    request exits ``code``; a prime key of that size, or an lcm of two such
+    orders, is refused at any width."""
+    fraction = f"{zero_padded(1, width)}/{zero_padded(2, width)}"  # 1/2
+    def ten_plus(k: int, digits: int = width) -> str:  # 10^(digits-1) + k, for k < 10
+        return "1" + "0" * (digits - 2) + str(k)
+    rows = {
+        "term-numerator": (["eval", "--alg", '{"finite":[2]}', "--term", f"{zero_padded(1, width)}/2"], code),
+        "term-denominator": (["eval", "--alg", '{"finite":[2]}', "--term", f"1/{zero_padded(2, width)}"], code),
+        "term-both": (["eval", "--alg", '{"finite":[2]}', "--term", f"x+{fraction}", "--env", '{"x":"0"}'], code),
+        "element": (["spec", "--alg", '{"finite":[2]}', "--elem", json.dumps([fraction])], code),
+        "rational-element": (["rank", "--alg", '{"rational":{"kind":"chain","n":2}}', "--elem", json.dumps(fraction)], code),
+        "prime-key": (["subterminal", "--alg", '{"rational":{"kind":"supernatural","primes":{"%s":1}}}' % ten_plus(0)], 2),
+        "chain-n": (["subterminal", "--alg", '{"rational":{"kind":"chain","n":%s}}' % ten_plus(0)], code),
+        "supernatural-n": (
+            ["subterminal", "--alg", '{"rational":{"kind":"supernatural","primes":{"2":"inf"},"n":%s}}' % ten_plus(0)], code
+        ),
+        "finite-order": (["decompose", "--alg", '{"finite":[%s]}' % ten_plus(0)], code),
+        # the least power of 2 with width digits
+        "finite-cap": (
+            ["subterminal", "--alg", '{"rational":{"kind":"supernatural","primes":{"2":%d}}}' % ceil((width - 1) / log10(2))],
+            code,
+        ),
+        # 10^(w-2) + 1 is prime to 10, so its lcm with 10 has w digits
+        "coproduct-lcm": (["coproduct", "--alg", '{"finite":[%s]}' % ten_plus(1, width - 1), "--alg", '{"finite":[10]}'], code),
+        # two coprime orders of w digits: their lcm has 2w - 1
+        "coproduct-two-long-orders": (
+            ["coproduct", "--alg", '{"finite":[%s]}' % ten_plus(1), "--alg", '{"finite":[%s]}' % ten_plus(3)], 2
+        ),
+    }
+    return [pytest.param(argv, expected, id=f"{name}-{width}") for name, (argv, expected) in rows.items()]
 
 
 def run_cli(capsys, *argv):
@@ -166,7 +210,7 @@ class TestCommands:
         )
         payload = json.loads(out)
         assert code == 0
-        assert payload["algebra"]["rational"]["primes"] == {"2": "inf", "3": 1}
+        assert payload["algebra"]["rational"] == {"kind": "supernatural", "primes": {"2": "inf"}, "n": 3, "all": False}
 
     def test_spec_with_element(self, capsys):
         code, out, _ = run_cli(
@@ -331,7 +375,7 @@ class TestErrorHandling:
         ids=["chain-6", "two-infinite"],
     )
     def test_rational_non_member_with_a_large_prime_denominator_exits_2_at_once(self, capsys, argv):
-        # membership divides the capped primes out of the denominator; it
+        # membership divides the infinite primes out of the denominator; it
         # never factorizes 10^18 + 3
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -372,26 +416,63 @@ class TestErrorHandling:
         assert code == 2 and out == "" and err.startswith("error:") and "Traceback" not in err
         assert time.perf_counter() - start < 1.0
 
-    def test_join_with_a_cofactor_trial_division_cannot_decide_exits_2_at_once(self, capsys):
-        # 777...7 (4,000 digits) next to an infinite prime must be factorized;
-        # its cofactor after the primes up to 10^6 has 3,875 digits
+    @pytest.mark.parametrize("argv, code", digit_budget_rows(4300, 0) + digit_budget_rows(4301, 2))
+    def test_integer_at_and_past_the_digit_budget_exits_0_or_2(self, capsys, argv, code):
+        start = time.perf_counter()
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, "Traceback" in err) == (code, False), err[:200]
+        assert (out == "") == (code == 2) and (err.startswith("error:") if code else err == "")
+        assert len(err) < 300  # a refusal quotes at most about 20 digits
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_unicode_digit_in_a_term_exits_2(self, capsys):
+        # "\u0661/\u0662" is 1/2 in Arabic-Indic digits; a numeral is ASCII digits
+        code, out, err = run_cli(capsys, "eval", "--alg", '{"finite":[2]}', "--term", "\u0661/\u0662")
+        assert code == 2 and out == "" and err.startswith("error: unexpected character")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--alg", '{"finite":[2]}', "--term", "x", "--env", '["1/2"]'], "environment must be an object"),
+            (["subterminal", "--alg", '{"rational":{"kind":"supernatural","primes":[2]}}'], "bad primes table"),
+            (["decompose", "--alg", '{"finite":2}'], "bad chain orders"),
+            (["separable", "--alg", '{"product":{"kind":"chain","n":2}}'], "bad product"),
+            (["gamma", "--alg", '{"simplicial":{"unit":3}}'], 'expected {"rank": r, "unit": [...]}'),
+        ],
+        ids=["environment-not-an-object", "primes-not-an-object", "orders-not-a-list", "product-not-a-list",
+             "simplicial-shape"],
+    )
+    def test_wire_shape_refusal_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith(f"error: {message}")
+
+    def test_join_with_a_long_odd_order_next_to_an_infinite_prime_is_accepted_at_once(self, capsys):
+        # 777...7 (4,000 digits) has no prime factor below 10^6 but 7 and is
+        # odd, so the join keeps it whole as its order beside the prime 2
         start = time.perf_counter()
         code, out, err = run_cli(
             capsys, "coproduct", "--alg", '{"rational":{"kind":"chain","n":%s}}' % ("7" * 4000),
             "--alg", '{"rational":{"kind":"supernatural","primes":{"2":"inf"},"all":false}}',
         )
-        assert code == 2 and out == "" and err.startswith("error: cannot factorize") and "Traceback" not in err
+        assert code == 0 and err == ""
+        assert json.loads(out)["algebra"]["rational"] == {
+            "kind": "supernatural", "primes": {"2": "inf"}, "n": int("7" * 4000), "all": False
+        }
         assert time.perf_counter() - start < 1.0
 
     def test_join_with_a_long_smooth_order_is_accepted_at_once(self, capsys):
-        # 999983^666 has 3,996 digits and only the largest prime below 10^6
+        # 999983^666 has 3,996 digits and only the largest prime below 10^6;
+        # it is the order of the join, beside the prime 2
         start = time.perf_counter()
         code, out, _ = run_cli(
             capsys, "coproduct", "--alg", '{"rational":{"kind":"chain","n":%d}}' % 999983**666,
             "--alg", '{"rational":{"kind":"supernatural","primes":{"2":"inf"},"all":false}}',
         )
         assert code == 0
-        assert json.loads(out)["algebra"]["rational"]["primes"] == {"2": "inf", "999983": 666}
+        assert out.startswith(
+            '{\n  "algebra": {\n    "rational": {\n      "all": false,\n      "kind": "supernatural",\n'
+            f'      "n": {999983**666},\n      "primes": {{\n        "2": "inf"\n      }}\n    }}\n  }},\n'
+        )
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("argv", HANG_REQUESTS,ids=["decompose-chain", "separable-finite", "separable-product"])
@@ -419,13 +500,13 @@ class TestErrorHandling:
         assert code == 0 and json.loads(out)["algebra"] == json.loads(argv[2])
         assert time.perf_counter() - start < 1.0
 
-    def test_product_over_the_factor_budget_exits_2_before_any_factorization(self, capsys, monkeypatch):
-        from mvalg import rationals
+    def test_product_over_the_factor_budget_exits_2_before_any_factor_is_parsed(self, capsys, monkeypatch):
+        from mvalg import formats
 
-        def factorize(n):
-            raise AssertionError("a factor was factorized")
+        def parse_rational(obj):
+            raise AssertionError("a factor was parsed")
 
-        monkeypatch.setattr(rationals, "factorize", factorize)
+        monkeypatch.setattr(formats, "_parse_rational", parse_rational)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "separable", "--alg", large_prime_product(MAX_PRODUCT_FACTORS + 1))
         assert code == 2 and out == "" and err.startswith(f"error: a product of {MAX_PRODUCT_FACTORS + 1} factors")

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 from itertools import product
-from math import prod
 
 import pytest
 
@@ -215,14 +214,19 @@ class TestRationalMembership:
 
     def test_membership_matches_the_prime_exponent_rule(self):
         # p/q is a member iff each prime power in q is within its cap; the
-        # rule is read here off the factorization that contains does not make
-        from mvalg.rationals import factorize
-
+        # exponents of 2, 3 and 5 are read off q here by trial division,
+        # which contains does not make
         for caps in product([0, 1, 2, INF], repeat=3):
             bounds = dict(zip((2, 3, 5), caps))
             r = RationalAlgebra.supernatural(bounds)
             for q in range(1, 241):
-                expected = all(e <= bounds.get(p, 0) for p, e in factorize(q).items())
+                rest, within = q, True
+                for p, cap in bounds.items():
+                    e = 0
+                    while rest % p == 0:
+                        rest, e = rest // p, e + 1
+                    within = within and e <= cap
+                expected = within and rest == 1  # a prime above 5 has cap 0
                 assert r.contains(Fraction(1, q)) == r.contains(Fraction(q - 1, q)) == expected
 
 
@@ -272,67 +276,6 @@ class TestPrimeKeys:
                 RationalAlgebra.supernatural({key: 1})
 
 
-class TestFactorize:
-    """Trial division up to TRIAL_DIVISION_BOUND; the cofactor left must be 1
-    or a prime that Miller-Rabin decides."""
-
-    def test_agrees_with_full_trial_division(self):
-        from mvalg.rationals import factorize
-
-        assert all(factorize(n) == trial_division(n) for n in range(1, 10**5 + 1))
-
-    def test_keeps_a_large_prime_cofactor(self):
-        from mvalg.rationals import factorize
-
-        assert factorize(2**3 * 1000003) == {2: 3, 1000003: 1}
-        assert factorize(12 * (10**18 + 3)) == {2: 2, 3: 1, 10**18 + 3: 1}
-
-    def test_finds_the_primes_at_both_ends_of_each_prime_table(self):
-        # 65521 and 65537 straddle the bound between the small and the large
-        # table; 999983 is the last prime below the trial-division bound
-        from mvalg.rationals import factorize
-
-        caps = {2: 5, 65521: 2, 65537: 1, 999979: 1, 999983: 666}
-        assert factorize(prod(p**e for p, e in caps.items())) == caps
-        assert factorize(prod(p**e for p, e in caps.items()) * (10**18 + 3)) == caps | {10**18 + 3: 1}
-
-    def test_exact_exponents_of_long_prime_powers(self):
-        # near the 4,300-digit limit of an order, and exponents on either
-        # side of each power of two
-        from mvalg.rationals import factorize
-
-        assert factorize(2**14280) == {2: 14280}
-        assert factorize(999983**666) == {999983: 666}
-        assert factorize(3**8000 * 7**100) == {3: 8000, 7: 100}
-        assert all(factorize(3**e * 5) == {3: e, 5: 1} for e in range(1, 300))
-
-    @pytest.mark.parametrize(
-        "primes",
-        [(1000003, 1000033), (1000003, 1000003), (1000003, 10**18 + 3), (2**89 - 1,)],
-        ids=["two-primes", "a-square", "a-prime-times-10^18+3", "a-prime-above-the-bound"],
-    )
-    def test_refuses_a_cofactor_it_cannot_decide(self, primes):
-        # every odd prime factor lies above the trial-division bound, and
-        # the cofactor is composite or too large for Miller-Rabin to decide;
-        # a chain is stored as its order, so chain(n) does not factorize it
-        from mvalg.algebras import AlgebraError
-        from mvalg.rationals import factorize
-
-        n = 2 * prod(primes)
-        with pytest.raises(AlgebraError):
-            factorize(n)
-        assert RationalAlgebra.chain(n).order == n
-
-    def test_chain_order_must_not_be_a_bool(self):
-        from mvalg.algebras import AlgebraError
-
-        for bad in (True, False):
-            with pytest.raises(AlgebraError):
-                RationalAlgebra.chain(bad)
-        with pytest.raises(AlgebraError):
-            RationalAlgebra.supernatural({2: True})
-
-
 # every cap table on {2, 3, 5} with caps 0, 1, 2 or INF, the chains of order
 # 1..360 as the tables trial_division gives them, and the whole interval
 # (None: every prime infinite)
@@ -362,8 +305,9 @@ def from_table(table) -> RationalAlgebra:
 
 class TestRationalNormalForm:
     """One normal form per algebra: a finite chain is (order, (), False), an
-    algebra with an infinite prime keeps its caps, the whole interval is
-    (1, (), True); compared here with the cap-table definition."""
+    algebra with an infinite prime keeps those primes and the order of its
+    finite caps, the whole interval is (1, (), True); compared here with the
+    cap-table definition."""
 
     ALGEBRAS = [from_table(t) for t in CAP_TABLES]
 
@@ -393,13 +337,9 @@ class TestRationalNormalForm:
         for r in self.ALGEBRAS:
             assert parse_algebra(rational_to_json(r)) == r
 
-    def test_only_a_join_next_to_an_infinite_prime_factorizes(self, monkeypatch):
-        from mvalg import rationals
-
-        def factorize(n):
-            raise AssertionError(f"{n} was factorized")
-
-        monkeypatch.setattr(rationals, "factorize", factorize)
+    def test_a_join_next_to_an_infinite_prime_keeps_the_order(self):
+        # no order is factorized: the join divides the infinite primes out of
+        # the lcm of the orders, here two primes above 10^6
         large = 2 * 1000003 * 1000033
         specs = [
             {"kind": "chain", "n": large},
@@ -408,18 +348,29 @@ class TestRationalNormalForm:
             {"kind": "supernatural", "primes": {}, "all": True},
         ]
         chain, finite, mixed, full = (parse_algebra({"rational": spec}) for spec in specs)
-        assert chain == finite == RationalAlgebra.chain(large) != mixed
+        assert chain == finite == RationalAlgebra.chain(large) != mixed == RationalAlgebra(1000003, (2,), False)
         assert [r.chain_order() for r in (chain, mixed, full)] == [large, None, None]
         for r in (chain, mixed, full):
             assert Fraction(1, 1000003) in r and (Fraction(1, 4) in r) == (r != chain)
             assert parse_algebra(rational_to_json(r)) == r
         assert list(map(repr, (chain, mixed, full))) == [
-            f"RationalAlgebra(chain {large})", "RationalAlgebra(2^inf, 1000003^1)", "RationalAlgebra(full)"
+            f"RationalAlgebra(chain {large})", "RationalAlgebra(2^inf, n=1000003)", "RationalAlgebra(full)"
         ]
         assert chain.join(RationalAlgebra.chain(3)) == RationalAlgebra.chain(3 * large)
         assert mixed.join(full) == full and mixed.join(mixed) == mixed
-        with pytest.raises(AssertionError, match="was factorized"):
-            mixed.join(chain)
+        assert mixed.join(chain) == chain.join(mixed) == RationalAlgebra(large // 2, (2,), False)
+        assert rational_to_json(mixed.join(chain)) == {
+            "rational": {"kind": "supernatural", "primes": {"2": "inf"}, "n": large // 2, "all": False}
+        }
+
+    def test_chain_order_must_not_be_a_bool(self):
+        from mvalg.algebras import AlgebraError
+
+        for bad in (True, False):
+            with pytest.raises(AlgebraError):
+                RationalAlgebra.chain(bad)
+        with pytest.raises(AlgebraError):
+            RationalAlgebra.supernatural({2: True})
 
 
 class TestPierceCoproduct:

@@ -8,6 +8,7 @@ with it and says so.
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -57,17 +58,43 @@ def test_replay_names_the_first_request_that_differs():
     assert first_difference(tampered[::2]).startswith("request 1 differs in stdout: argv ")
 
 
+def _starts(path: str, version: str, env: dict) -> bool:
+    probe = subprocess.run(
+        [path, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"], capture_output=True, text=True, env=env,
+        timeout=30,
+    )
+    return probe.returncode == 0 and probe.stdout.strip() == version
+
+
+def _interpreter_env(python: str) -> dict | None:
+    """An environment in which ``python`` starts and reports its own
+    major.minor version: the current one, or else the current one with
+    PYENV_VERSION set to the newest matching ``pyenv versions --bare``
+    entry.  A pyenv shim is found on the path even when the selected version
+    lacks the command, so being found is not enough.  None when neither starts."""
+    version = python.removeprefix("python")
+    path = shutil.which(python)
+    if path is None:
+        return None
+    if _starts(path, version, dict(os.environ)):
+        return dict(os.environ)
+    pyenv = shutil.which("pyenv")
+    if pyenv is None:
+        return None
+    listed = subprocess.run([pyenv, "versions", "--bare"], capture_output=True, text=True, timeout=30).stdout.split()
+    matching = [v for v in listed if re.fullmatch(re.escape(version) + r"\.[0-9]+", v)]
+    if not matching:
+        return None
+    env = {**os.environ, "PYENV_VERSION": max(matching, key=lambda v: tuple(map(int, v.split("."))))}
+    return env if _starts(path, version, env) else None
+
+
 @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
 def test_cli_corpus_replays_under_each_admitted_interpreter(python):
-    # a pyenv shim is found on the path even when its version is not
-    # installed, so an interpreter counts only once it runs and reports
-    # its own major.minor version
-    path = shutil.which(python)
-    probe = path and subprocess.run(
-        [path, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"], capture_output=True, text=True
-    )
-    if not probe or probe.returncode != 0 or probe.stdout.strip() != python.removeprefix("python"):
+    env = _interpreter_env(python)
+    if env is None:
         pytest.skip(f"{python} does not start here")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    result = subprocess.run([path, str(GOLDEN / "replay.py")], capture_output=True, text=True, env=env, timeout=60)
+    env["PYTHONPATH"] = str(SRC)
+    replay = [shutil.which(python), str(GOLDEN / "replay.py")]
+    result = subprocess.run(replay, capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stdout + result.stderr

@@ -12,10 +12,11 @@ from itertools import product as iproduct
 
 import pytest
 
-from mvalg import cli, coproducts, pierce, terms, topology, verify
+from mvalg import cli, coproducts, pierce, rationals, terms, topology, verify
 from mvalg.coproducts import SeparabilityResult
 from mvalg.algebras import ONE, FiniteMV, Hom, ProductSplit, _neg, enumerate_homs
 from mvalg.lgroups import SimplicialGroup
+from mvalg.rationals import RationalAlgebra
 
 
 def homs_without_divisibility(source, target):
@@ -81,6 +82,15 @@ def code_action_past_the_top(hom):
     in the target sees it."""
     act = correct_code_action(hom)
     return lambda k: tuple([j + 1 if j == n else j for j, n in zip(act(k), hom.target.orders)])
+
+
+def join_keeping_only_the_left_order(self, other):
+    """RationalAlgebra.join with the order of other left out; the infinite
+    primes of both sides are kept."""
+    if self.all_infinite or other.all_infinite:
+        return RationalAlgebra.full()
+    infinite = tuple(sorted({*self.infinite, *other.infinite}))
+    return RationalAlgebra(rationals._divide_out(self.order, infinite), infinite, False)
 
 
 def subterminal_also_when_trivial(algebra):
@@ -179,6 +189,16 @@ MUTANTS = [  # (module, name, wrong, suite, size, the FAIL summary or a pattern 
         Hom, "compose", compose_reading_the_first_component, "coproduct-universal", 1,
         "pairing not injective for FiniteMV([1])+FiniteMV([1, 1]) -> FiniteMV([1])",
         id="compose-reading-the-first-component",
+    ),
+    pytest.param(
+        rationals, "lcm", max, "coproduct-universal", 3,
+        "chain(2) + chain(3) is RationalAlgebra(chain 3), not the embedded finite coproduct",
+        id="rational-join-lcm-as-max",
+    ),
+    pytest.param(
+        RationalAlgebra, "join", join_keeping_only_the_left_order, "coproduct-universal", 1,
+        "truncation at 360 does not commute with RationalAlgebra(chain 1) + RationalAlgebra(5^inf)",
+        id="rational-join-keeping-only-the-left-order",
     ),
     pytest.param(
         verify, "enumerate_homs", homs_without_divisibility, "hom-oracle", 6,
