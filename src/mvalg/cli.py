@@ -32,7 +32,7 @@ from .formats import (
     space_to_json,
 )
 from .lgroups import SimplicialGroup
-from .rationals import RationalAlgebra
+from .rationals import _ORDER_BOUND, MAX_ORDER_DIGITS, RationalAlgebra
 from .topology import TopologyError
 
 # Each handler imports the modules that compute its answer, so a process
@@ -210,12 +210,15 @@ def cmd_rank(args) -> dict:
     else:  # one coordinate per rational factor; a bare fraction is one coordinate
         elem = tuple(parse_fraction(c) for c in (raw if isinstance(raw, list) else [raw]))
     r = order_rank(algebra, elem)
+    size = r.subalgebra.size
+    if size >= _ORDER_BOUND:  # each order is within the budget, but their product need not be
+        raise AlgebraError(f"the generated subalgebra has a size of more than {MAX_ORDER_DIGITS} digits")
     return {
         "algebra": algebra_to_json(algebra),
         "element": [fraction_to_str(c) for c in elem],
         "rank": r.rank,
         "factors": list(r.chain_orders),
-        "subalgebra_size": r.subalgebra.size,
+        "subalgebra_size": size,
     }
 
 

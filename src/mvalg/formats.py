@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .algebras import AlgebraError, Element, FiniteMV, Hom
 from .lgroups import SimplicialGroup
-from .rationals import INF, RationalAlgebra, read_int
+from .rationals import INF, RationalAlgebra, excerpt, read_int
 from .topology import parse_space_json, space_to_json  # re-exported
 
 __all__ = [
@@ -67,12 +67,12 @@ def parse_fraction(text) -> Fraction:
     elif isinstance(text, str) and (m := _FRACTION.fullmatch(text)):
         num, den = read_int(m[1], FormatError), read_int(m[2] or "1", FormatError)
         if den == 0:
-            raise FormatError(f"malformed fraction {text!r}: zero denominator")
+            raise FormatError(f"malformed fraction {excerpt(repr(text))}: zero denominator")
         f = Fraction(num, den)
     else:
-        raise FormatError(f"malformed fraction {text!r}: expected \"p\" or \"p/q\" in digits")
+        raise FormatError(f"malformed fraction {excerpt(repr(text))}: expected \"p\" or \"p/q\" in digits")
     if not 0 <= f <= 1:
-        raise FormatError(f"fraction {text!r} is outside [0,1]")
+        raise FormatError(f"fraction {excerpt(repr(text))} is outside [0,1]")
     return f
 
 

@@ -26,12 +26,18 @@ MAX_ORDER_DIGITS = 4300
 _ORDER_BOUND = 10**MAX_ORDER_DIGITS
 
 
+def excerpt(text: str) -> str:
+    """At most the first 20 characters of text, then "..." if it is longer:
+    how a refusal quotes input that may run to thousands of characters."""
+    return text[:20] + ("..." if len(text) > 20 else "")
+
+
 def read_int(digits: str, error: type[Exception], *context) -> int:
     """The integer written by ``digits``, at most MAX_ORDER_DIGITS ASCII
     digits.  Other text is refused with ``error(message, *context)`` before
     int() sees it, and the message quotes at most 20 of its characters."""
     if not (digits.isascii() and digits.isdigit()) or len(digits) > MAX_ORDER_DIGITS:
-        quoted = repr(digits[:20]) + ("..." if len(digits) > 20 else "")
+        quoted = excerpt(repr(digits))
         raise error(f"expected at most {MAX_ORDER_DIGITS} ASCII digits, got {quoted} ({len(digits)} characters)", *context)
     return int(digits)
 

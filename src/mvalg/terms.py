@@ -53,7 +53,7 @@ from .algebras import (  # TermError and ParseError are re-exported
     _odot,
     _oplus,
 )
-from .rationals import RationalAlgebra, read_int
+from .rationals import RationalAlgebra, excerpt, read_int
 from .records import Record
 
 # -- syntax trees ---------------------------------------------------------------
@@ -184,15 +184,15 @@ def parse_term(text: str) -> Term:
                 raise ParseError(f"bare integer {value[:20]!r} is not a term (only 0, 1, fractions)", at)
             return Const(_BARE[value]), 1
         tokens.pop()
-        den_kind, den, den_at = take()
+        den_kind, den_digits, den_at = take()
         if den_kind != "int":
             raise ParseError("malformed fraction: expected a denominator", den_at)
-        num, den = read_int(value, ParseError, at), read_int(den, ParseError, den_at)
+        num, den = read_int(value, ParseError, at), read_int(den_digits, ParseError, den_at)
         if den == 0:
             raise ParseError("malformed fraction: zero denominator", den_at)
         frac = Fraction(num, den)
         if not ZERO <= frac <= ONE:
-            raise ParseError(f"malformed fraction: {num}/{den} is outside [0,1]", at)
+            raise ParseError(f"malformed fraction: {excerpt(f'{value}/{den_digits}')} is outside [0,1]", at)
         return Const(frac), 1
 
     t, _ = binary(0, 0)

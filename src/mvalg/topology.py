@@ -21,14 +21,27 @@ once, in increasing order of the tuple (N(0), ..., N(n-1)), choosing the
 N(x) level by level under each Alexandrov constraint (y in N(x) => N(y) <=
 N(x)) once, so its spaces are not validated again; ``space_from_min_nbhds``
 validates assignments from elsewhere (``product_space``, callers).
+
+Spaces on at most five points are few, 7,332 in all, and callers list and
+label them again and again, so the catalog on at most five points is listed
+once per process and ``pi0`` answers from a memo keyed by N there; every
+space with the same components shares one immutable ``Pi0Result``.  Larger
+catalogs are enumerated lazily on each call, and their pi0 computed.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .records import Record
+
+
+# The catalogs and pi0 are memoized on at most this many points, which carry
+# 1 + 1 + 4 + 29 + 355 + 6,942 = 7,332 topologies in all; six points alone
+# would add 209,527.
+_MEMO_POINTS = 5
+_MEMO_SPACES = 7332
 
 
 class TopologyError(ValueError):
@@ -165,12 +178,26 @@ class Pi0Result(Record):
         return self.space.points
 
 
+_pi0_memo: dict[tuple[int, ...], Pi0Result] = {}  # N -> pi0, on at most _MEMO_POINTS points
+_pi0_by_labels: dict[tuple[int, ...], Pi0Result] = {}  # the one memoized result per partition
+
+
 def pi0(space: FinSpace) -> Pi0Result:
     """The space of components with the quotient topology, which is discrete
     because the components of a finite space are clopen (the pi0-products
-    suite checks it against the quotient scan of oracles.py)."""
+    suite checks it against the quotient scan of oracles.py).  On at most
+    five points the result is memoized by N, and every space with the same
+    components shares one result."""
+    memoized = space.points <= _MEMO_POINTS
+    if memoized and (hit := _pi0_memo.get(space.nbhds)) is not None:
+        return hit
     label, count = _classes(space.nbhds)
-    return Pi0Result(FinSpace.discrete(count), label)
+    result = Pi0Result(FinSpace.discrete(count), label)
+    # the memo holds one entry per topology, so only a record built unchecked
+    # from a non-topology can find it full
+    if memoized and len(_pi0_memo) < _MEMO_SPACES:
+        result = _pi0_memo[space.nbhds] = _pi0_by_labels.setdefault(label, result)
+    return result
 
 
 def pair_index(x: int, y: int, y_points: int) -> int:
@@ -258,11 +285,29 @@ def iter_min_nbhd_assignments(n: int) -> Iterator[tuple[int, ...]]:
     yield from (_extend(level, n - 1, full) if n else level)  # n = 0: the empty assignment
 
 
+@cache
+def _catalog(n: int) -> tuple[FinSpace, ...]:
+    return tuple(FinSpace(n, nbhds) for nbhds in iter_min_nbhd_assignments(n))
+
+
 def iter_topologies(n: int) -> Iterator[FinSpace]:
     """All topologies on n labeled points (1, 1, 4, 29, 355, 6942, ...
-    spaces), in the order of ``iter_min_nbhd_assignments``, built unchecked."""
-    for nbhds in iter_min_nbhd_assignments(n):
-        yield FinSpace(n, nbhds)
+    spaces), in the order of ``iter_min_nbhd_assignments``, built unchecked.
+    On at most five points they come from a tuple listed once per process,
+    so each call yields the same objects; on more, lazily."""
+    if n <= _MEMO_POINTS:
+        yield from _catalog(n)
+    else:
+        for nbhds in iter_min_nbhd_assignments(n):
+            yield FinSpace(n, nbhds)
+
+
+def clear_memos() -> None:
+    """Empty the catalog and pi0 memos, so the next call lists and labels
+    afresh, as in a new process (for tests that patch what builds them)."""
+    _catalog.cache_clear()
+    _pi0_memo.clear()
+    _pi0_by_labels.clear()
 
 
 def parse_space_json(obj) -> FinSpace:

@@ -1,11 +1,14 @@
-"""Replay the golden CLI corpus and name the first request that differs.
+"""Replay the golden CLI corpus and ``verify --all --max-size 3``, and name
+the first request that differs.
 
 Runs each request of ``cli_golden.json`` beside this script in process
 through ``mvalg.cli.main`` and compares its stdout and exit code with the
-recorded ones.  It imports nothing outside the standard library and
-``mvalg``, so it runs under any interpreter ``pyproject.toml`` admits,
-without pytest.  Exit 0 when every request matches; otherwise it prints the
-first request that differs and exits 1.
+recorded ones, then does the same for ``mvalg verify --all --max-size 3``
+against ``verify_all_max_size_3.json`` and ``.exit``.  It imports nothing
+outside the standard library and ``mvalg``, so it runs under any
+interpreter ``pyproject.toml`` admits, without pytest.  Exit 0 when every
+request matches; otherwise it prints the first request that differs and
+exits 1.
 
     PYTHONPATH=src python3 tests/golden/replay.py
 """
@@ -21,7 +24,8 @@ from pathlib import Path
 
 from mvalg.cli import main
 
-GOLDEN_FILE = Path(__file__).resolve().parent / "cli_golden.json"
+HERE = Path(__file__).resolve().parent
+GOLDEN_FILE = HERE / "cli_golden.json"
 
 
 def first_difference(corpus: list[dict]) -> str | None:
@@ -39,13 +43,18 @@ def first_difference(corpus: list[dict]) -> str | None:
 
 
 def replay() -> int:
+    verify = {
+        "argv": ["verify", "--all", "--max-size", "3"],
+        "stdout": (HERE / "verify_all_max_size_3.json").read_text(),
+        "exit": int((HERE / "verify_all_max_size_3.exit").read_text()),
+    }
     corpus = json.loads(GOLDEN_FILE.read_text())
-    difference = first_difference(corpus)
+    difference = first_difference(corpus + [verify])
     python = f"Python {platform.python_version()}"
     if difference is not None:
         print(f"{python}: {difference}")
         return 1
-    print(f"{python}: all {len(corpus)} requests of {GOLDEN_FILE.name} match")
+    print(f"{python}: all {len(corpus)} requests of {GOLDEN_FILE.name} and verify --all --max-size 3 match")
     return 0
 
 

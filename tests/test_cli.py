@@ -144,6 +144,18 @@ def digit_budget_rows(width: int, code: int) -> list:
         "coproduct-two-long-orders": (
             ["coproduct", "--alg", '{"finite":[%s]}' % ten_plus(1), "--alg", '{"finite":[%s]}' % ten_plus(3)], 2
         ),
+        # 1/10^(w-1) and 1/(10^(w-2) + 1) generate both chains, whose size
+        # (10^(w-1) + 1)(10^(w-2) + 2) has 2w - 2 digits
+        "rank-product-size": (
+            ["rank", "--alg", '{"product":[{"kind":"chain","n":%s},{"kind":"chain","n":%s}]}' % (ten_plus(0), ten_plus(1, width - 1)),
+             "--elem", json.dumps([f"1/{ten_plus(0)}", f"1/{ten_plus(1, width - 1)}"])],
+            2,
+        ),
+        "rank-finite-size": (
+            ["rank", "--alg", '{"finite":[%s,%s]}' % (ten_plus(0), ten_plus(1, width - 1)),
+             "--elem", json.dumps([f"1/{ten_plus(0)}", f"1/{ten_plus(1, width - 1)}"])],
+            2,
+        ),
     }
     return [pytest.param(argv, expected, id=f"{name}-{width}") for name, (argv, expected) in rows.items()]
 
@@ -424,6 +436,21 @@ class TestErrorHandling:
         assert (out == "") == (code == 2) and (err.startswith("error:") if code else err == "")
         assert len(err) < 300  # a refusal quotes at most about 20 digits
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spec", "--alg", '{"finite":[2]}', "--elem", json.dumps(["9" * 4300 + "/0"])],
+            ["spec", "--alg", '{"finite":[2]}', "--elem", json.dumps(["9" * 4300 + "/x"])],
+            ["spec", "--alg", '{"finite":[2]}', "--elem", json.dumps(["9" * 4300 + "/1"])],
+            ["eval", "--alg", '{"finite":[2]}', "--term", "9" * 4300 + "/1"],
+        ],
+        ids=["element-zero-denominator", "element-malformed", "element-outside", "term-outside"],
+    )
+    def test_fraction_refusal_quotes_a_long_input_in_part(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert len(err) < 200
 
     def test_a_unicode_digit_in_a_term_exits_2(self, capsys):
         # "\u0661/\u0662" is 1/2 in Arabic-Indic digits; a numeral is ASCII digits

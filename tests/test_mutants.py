@@ -3,7 +3,10 @@
 Every row patches the binding that its suite actually reaches with a
 plausible wrong variant, runs the suite at a reduced bound, and requires a
 FAIL report with the pinned summary from ``run_criterion`` and exit code 1
-from ``mvalg verify``.  A summary that reports an exception is matched by a
+from ``mvalg verify``.  The topology memos are emptied before each row
+patches its binding and after it runs, so each row lists and labels the
+finite spaces as a fresh process would, and no row leaves a space its patch
+built for a later test.  A summary that reports an exception is matched by a
 pattern, so that line numbers in the raising module may move.
 """
 
@@ -310,8 +313,15 @@ def test_suite_passes_unpatched_at_the_reduced_bound(suite, size):
     assert verify.run_criterion(suite, size=size).passed
 
 
+@pytest.fixture
+def fresh_topology_memos():
+    topology.clear_memos()
+    yield
+    topology.clear_memos()
+
+
 @pytest.mark.parametrize("module, name, wrong, suite, size, summary", MUTANTS)
-def test_mutant_fails_its_suite(monkeypatch, capsys, module, name, wrong, suite, size, summary):
+def test_mutant_fails_its_suite(fresh_topology_memos, monkeypatch, capsys, module, name, wrong, suite, size, summary):
     monkeypatch.setattr(module, name, wrong)
     report = verify.run_criterion(suite, size=size)
     assert report.passed is False, report.summary

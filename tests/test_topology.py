@@ -19,6 +19,7 @@ from mvalg.oracles import (
     quasi_components_bruteforce,
     quotient_bruteforce,
 )
+from mvalg import topology
 from mvalg.topology import (
     bits,
     iter_min_nbhd_assignments,
@@ -155,17 +156,69 @@ class TestCatalogOrder:
             previous, count = a, count + 1
         assert count == 209527
 
-    def test_catalog_is_lazy(self):
+    def test_assignments_are_lazy(self):
         # only the assignments of the first n - 1 points are held as a list
         tracemalloc.start()
         try:
-            count = sum(1 for _ in iter_topologies(5))
+            count = sum(1 for _ in iter_min_nbhd_assignments(5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert count == 6942
         assert peak < 500_000
 
+
+class TestMemos:
+    """On at most five points the catalog is listed once per process and pi0
+    answers from a memo keyed by the minimal neighbourhoods."""
+
+    def test_first_five_point_pass_peaks_under_1_5_mb(self):
+        topology.clear_memos()
+        tracemalloc.start()
+        try:
+            count = sum(1 for space in iter_topologies(5) if pi0(space))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 6942
+        assert peak < 1_500_000
+
+    def test_second_pass_allocates_little_and_yields_the_same_objects(self):
+        first = [(space, pi0(space)) for space in iter_topologies(5)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            same = all(
+                space is s and pi0(space) is p for space, (s, p) in zip(iter_topologies(5), first, strict=True)
+            )
+            allocated = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert same
+        assert allocated < 50_000
+
+    def test_pi0_hits_by_value(self):
+        space = list(iter_topologies(4))[100]
+        fresh = FinSpace.from_sets(4, [list(bits(o)) for o in space.opens])
+        assert fresh == space and fresh is not space and fresh.nbhds is not space.nbhds
+        assert pi0(fresh) is pi0(space)
+
+    def test_memo_holds_one_entry_per_topology_and_one_result_per_partition(self):
+        topology.clear_memos()
+        results = {id(pi0(space)) for n in range(6) for space in iter_topologies(n)}
+        assert len(topology._pi0_memo) == 7332
+        assert len(results) == 1 + 1 + 2 + 5 + 15 + 52  # the Bell numbers: one result per partition
+        # a record built unchecked from a non-topology (N(1) misses 1) is
+        # labelled but not stored once the memo is full
+        assert pi0(FinSpace(2, (0b11, 0b01))).class_of == (0, 0)
+        assert len(topology._pi0_memo) == 7332
+
+    def test_six_points_add_nothing_to_the_memo(self):
+        held = dict(topology._pi0_memo)
+        six = product_space(FinSpace.discrete(2), space_from_min_nbhds([0b001, 0b011, 0b100]))
+        assert six.points == 6 and pi0(six).class_of == (0, 0, 1, 2, 2, 3)
+        assert pi0(FinSpace.discrete(6)).class_of == (0, 1, 2, 3, 4, 5)
+        assert topology._pi0_memo == held
 
 class TestComponents:
     def test_discrete_three_singletons(self):
