@@ -8,7 +8,8 @@ verification suite found a violation (an exception raised inside a suite
 counts as one), 2 malformed input, including a request whose report would
 hold more than ``MAX_RESPONSE_LEAVES`` JSON values, 3 an internal error (any
 other exception, also one raised while writing the report, reported on one
-stderr line with no traceback).
+stderr line with no traceback).  A refusal or internal error is one stderr
+line of at most ``MAX_ERROR_LINE`` characters, whatever the input's size.
 """
 
 from __future__ import annotations
@@ -49,6 +50,17 @@ MAX_RESPONSE_LEAVES = 1_100_000
 # coproduct and separable build A + B with k_A * k_B components, and its
 # injections and witness list them all, so both refuse a larger product
 MAX_COPRODUCT_COMPONENTS = 4096
+
+
+# a refusal may quote input of any size; its line keeps the start (the
+# reason) and the end (a position, if any) of the message
+MAX_ERROR_LINE = 295
+
+
+def _error_line(text: str) -> str:
+    """``text`` if it has at most MAX_ERROR_LINE characters; otherwise its
+    first 200 and last 90 around " ... "."""
+    return text if len(text) <= MAX_ERROR_LINE else f"{text[:200]} ... {text[-90:]}"
 
 
 def _load(text: str | None, flag: str):
@@ -346,10 +358,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(_emit(args, payload))
         sys.stdout.flush()
     except USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_error_line(f"error: {exc}"), file=sys.stderr)
         return 2
     except Exception as exc:  # a defect in mvalg, not in the input
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(_error_line(f"internal error: {type(exc).__name__}: {exc}"), file=sys.stderr)
         return 3
     return 1 if args.command == "verify" and not payload["all_passed"] else 0
 

@@ -119,12 +119,9 @@ def _parse_rational(obj) -> RationalAlgebra:
             if not _PRIME_KEY.fullmatch(p):
                 raise FormatError(f"bad prime {p!r}: expected digits with no sign, space or leading zero")
             prime = read_int(p, FormatError)
-            if e == "inf":
-                caps[prime] = INF
-            elif _is_int(e) and e >= 0:
-                caps[prime] = e
-            else:
+            if e == INF:  # JSON's Infinity or 1e400: the wire spells an infinite cap "inf"
                 raise FormatError(f"bad exponent {e!r} for prime {p}")
+            caps[prime] = INF if e == "inf" else e
         all_infinite = obj.get("all", False)
         if not isinstance(all_infinite, bool):
             raise FormatError(f'"all" must be true or false, got {all_infinite!r}')

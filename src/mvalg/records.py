@@ -3,11 +3,12 @@
 A subclass lists its fields in ``__slots__``; the fields of a subclass of a
 subclass follow its parent's.  Every record
 
-* is built positionally, ``FinSpace(points, nbhds)``, by one constructor made
-  for its class from its fields, as ``namedtuple`` and ``dataclasses`` make
-  theirs: positional-only, one slot-setter call per field, in field order.
-  It is the class's ``_init``, and its ``__init__`` unless the class writes
-  one;
+* is built positionally, ``FinSpace(points, nbhds)``, by one constructor
+  given to its class when the class is created: positional-only, one
+  slot-setter call per field, in field order.  It is the template below for
+  the class's field count, with the class's slot setters as its globals, so
+  nothing is compiled at run time.  It is the class's ``_init``, and its
+  ``__init__`` unless the class writes one;
 * is checked only where values enter from outside: a class writes
   ``__init__`` only to validate its input, and then calls
   ``self._init(...)``.  Where the library builds a record from parts that
@@ -25,9 +26,8 @@ subclass follow its parent's.  Every record
 
 from __future__ import annotations
 
-from functools import cache
 from operator import attrgetter
-from types import CodeType, FunctionType
+from types import FunctionType
 
 
 def _eq_and_hash(fields: tuple[str, ...]):
@@ -48,32 +48,17 @@ def _eq_and_hash(fields: tuple[str, ...]):
     return __eq__, __hash__
 
 
-@cache
-def _template(n: int) -> CodeType:
-    """The code of ``__init__(self, _0, ..., _n-1, /)``, which calls
-    ``s_i(self, _i)`` for each field in turn."""
-    args = "".join(f", _{i}" for i in range(n))
-    body = "".join(f"    s_{i}(self, _{i})\n" for i in range(n)) or "    pass\n"
-    return compile(f"def __init__(self{args}, /):\n{body}", f"<record constructor of {n} fields>", "exec").co_consts[0]
-
-
-class _Ungenerated:
-    """A class's ``_init``, and its ``__init__`` unless it writes one, until a
-    record of the class is first built.  Then the class's constructor is made
-    from the template for its field count, with its field names and with the
-    slots' setters (which bypass ``Record.__setattr__``) as the ``s_i``, and
-    takes this one's place.  Start-up builds no record, so it compiles none."""
-
-    def __get__(self, record, cls):
-        setters = {f"s_{i}": getattr(cls, name).__set__ for i, name in enumerate(cls._fields)}
-        init = cls._init = FunctionType(_template(len(cls._fields)).replace(co_varnames=("self", *cls._fields)), setters)
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-        if cls.__dict__.get("__init__") is self:
-            cls.__init__ = init
-        return init if record is None else init.__get__(record, cls)
-
-
-_UNGENERATED = _Ungenerated()
+# A record class with n fields gets the code of _init<n> as its constructor,
+# with its slots' setters (which bypass Record.__setattr__) as the globals
+# s0 ... s<n-1>.
+def _init0(self, /): pass
+def _init1(self, _0, /): s0(self, _0)
+def _init2(self, _0, _1, /): s0(self, _0); s1(self, _1)
+def _init3(self, _0, _1, _2, /): s0(self, _0); s1(self, _1); s2(self, _2)
+def _init4(self, _0, _1, _2, _3, /): s0(self, _0); s1(self, _1); s2(self, _2); s3(self, _3)
+def _init5(self, _0, _1, _2, _3, _4, /): s0(self, _0); s1(self, _1); s2(self, _2); s3(self, _3); s4(self, _4)
+def _init6(self, _0, _1, _2, _3, _4, _5, /): s0(self, _0); s1(self, _1); s2(self, _2); s3(self, _3); s4(self, _4); s5(self, _5)
+_TEMPLATES = (_init0, _init1, _init2, _init3, _init4, _init5, _init6)
 
 
 class Record:
@@ -85,10 +70,14 @@ class Record:
         if "__slots__" not in cls.__dict__:  # it would get a __dict__ and no fields
             raise TypeError(f"record class {cls.__name__} must declare __slots__")
         cls._fields = cls._fields + tuple(cls.__dict__["__slots__"])
+        if len(cls._fields) >= len(_TEMPLATES):
+            raise TypeError(f"record class {cls.__name__} has {len(cls._fields)} fields, more than {len(_TEMPLATES) - 1}")
         cls.__eq__, cls.__hash__ = _eq_and_hash(cls._fields)
-        cls._init = _UNGENERATED
+        setters = {f"s{i}": getattr(cls, name).__set__ for i, name in enumerate(cls._fields)}
+        cls._init = FunctionType(_TEMPLATES[len(cls._fields)].__code__, setters)
+        cls._init.__qualname__ = f"{cls.__qualname__}.__init__"
         if "__init__" not in cls.__dict__:
-            cls.__init__ = _UNGENERATED
+            cls.__init__ = cls._init
 
     @classmethod
     def _make(cls, *fields):

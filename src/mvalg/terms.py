@@ -313,7 +313,7 @@ RankAmbient = FiniteMV | RationalAlgebra | list | tuple
 
 def _envelope(ambient: RankAmbient, a) -> tuple[FiniteMV, Element]:
     if isinstance(ambient, FiniteMV):
-        return ambient, ambient.check(a)
+        return ambient, a
     comps = [ambient] if isinstance(ambient, RationalAlgebra) else list(ambient)
     if not all(isinstance(c, RationalAlgebra) for c in comps):
         raise AlgebraError(f"{ambient!r} is not a representable ambient")

@@ -315,7 +315,7 @@ def parse_space_json(obj) -> FinSpace:
     if not isinstance(obj, dict) or set(obj) != {"points", "opens"}:
         raise TopologyError(f'expected {{"points": n, "opens": [...]}}, got {obj!r}')
     points = obj["points"]
-    if type(points) is not int or points < 0:  # JSON true and false are not counts
+    if type(points) is not int:  # JSON true and false are not counts
         raise TopologyError(f"bad point count {points!r}")
     opens = obj["opens"]
     if not isinstance(opens, list) or not all(isinstance(o, list) and all(type(p) is int for p in o) for o in opens):

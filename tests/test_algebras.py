@@ -322,6 +322,15 @@ class TestHoms:
             assert scanned == brute_force_hom_graphs(a, b), (a, b)
 
 
+    def test_component_map_of_the_wrong_length_is_refused(self):
+        with pytest.raises(AlgebraError, match="^component map must assign one source component per target component"):
+            Hom(L2, A23, [0])
+
+    def test_homs_that_do_not_compose_are_refused(self):
+        with pytest.raises(AlgebraError, match="^homs not composable"):
+            Hom.identity(L2).compose(Hom.identity(L3))
+
+
 class TestProduct:
     def test_concatenation_and_size(self):
         p = FiniteMV(L2.orders + L3.orders)
@@ -339,6 +348,10 @@ class TestProduct:
 
 
 class TestIdealsAndQuotients:
+    def test_quotient_by_an_ideal_of_another_algebra_is_refused(self):
+        with pytest.raises(AlgebraError, match=r"^Ideal\(FiniteMV\(\[2\]\), vanishing=\[0\]\) is not an ideal of"):
+            quotient_by_ideal(A23, Ideal(L2, [0]))
+
     def test_ideal_shape_matches_bruteforce(self):
         # every ideal of a product of chains is a vanishing-set ideal
         for algebra in [FiniteMV([2, 3]), FiniteMV([1, 1, 2]), FiniteMV([3]), TERMINAL]:

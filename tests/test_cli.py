@@ -160,6 +160,41 @@ def digit_budget_rows(width: int, code: int) -> list:
     return [pytest.param(argv, expected, id=f"{name}-{width}") for name, (argv, expected) in rows.items()]
 
 
+FIVE_THOUSAND = "x" * 5000
+FINITE_2 = '{"finite":[2]}'
+
+
+def supernatural(primes, **fields) -> str:
+    return json.dumps({"rational": {"kind": "supernatural", "primes": primes, **fields}})
+
+
+LONG_REFUSALS = {  # one request per refusal that quotes a malformed value
+    "element-not-a-list": ["spec", "--alg", FINITE_2, "--elem", json.dumps(FIVE_THOUSAND)],
+    "environment-not-an-object": ["eval", "--alg", FINITE_2, "--term", "x", "--env", json.dumps(FIVE_THOUSAND)],
+    "rational-not-an-object": ["subterminal", "--alg", json.dumps({"rational": FIVE_THOUSAND})],
+    "primes-not-an-object": ["subterminal", "--alg", supernatural(FIVE_THOUSAND)],
+    "bad-prime-key": ["subterminal", "--alg", supernatural({FIVE_THOUSAND: 1})],
+    "bad-exponent": ["subterminal", "--alg", supernatural({"2": FIVE_THOUSAND})],
+    "all-not-a-bool": ["subterminal", "--alg", supernatural({}, all=FIVE_THOUSAND)],
+    "unknown-rational-kind": ["subterminal", "--alg", json.dumps({"rational": {"kind": FIVE_THOUSAND}})],
+    "algebra-not-one-key": ["decompose", "--alg", json.dumps(FIVE_THOUSAND)],
+    "orders-not-a-list": ["decompose", "--alg", json.dumps({"finite": FIVE_THOUSAND})],
+    "product-not-a-list": ["separable", "--alg", json.dumps({"product": FIVE_THOUSAND})],
+    "simplicial-shape": ["gamma", "--alg", json.dumps({"simplicial": {"unit": FIVE_THOUSAND}})],
+    "simplicial-rank": ["gamma", "--alg", json.dumps({"simplicial": {"rank": FIVE_THOUSAND, "unit": [1]}})],
+    "unknown-algebra-kind": ["decompose", "--alg", json.dumps({FIVE_THOUSAND: 1})],
+    "chain-order-not-an-integer": ["decompose", "--alg", json.dumps({"finite": [FIVE_THOUSAND]})],
+    "element-of-3000-coordinates": ["spec", "--alg", FINITE_2, "--elem", json.dumps(["1"] * 3000)],
+    "rational-chain-order": ["subterminal", "--alg", json.dumps({"rational": {"kind": "chain", "n": FIVE_THOUSAND}})],
+    "space-not-an-object": ["pi0", "--space", json.dumps(FIVE_THOUSAND)],
+    "point-count": ["pi0", "--space", json.dumps({"points": FIVE_THOUSAND, "opens": []})],
+    "open-set-out-of-range": ["pi0", "--space", json.dumps({"points": 1, "opens": [[], [0], list(range(1, 2000))]})],
+    "simplicial-unit": ["gamma", "--alg", json.dumps({"simplicial": {"unit": [FIVE_THOUSAND]}})],
+    "unbound-variable": ["eval", "--alg", FINITE_2, "--term", FIVE_THOUSAND],
+    "unknown-criterion": ["verify", FIVE_THOUSAND],
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -452,6 +487,18 @@ class TestErrorHandling:
         assert code == 2 and out == "" and err.startswith("error:")
         assert len(err) < 200
 
+    @pytest.mark.parametrize("argv", LONG_REFUSALS.values(), ids=LONG_REFUSALS.keys())
+    def test_refusal_of_a_long_value_is_one_short_line(self, capsys, argv):
+        # each refusal quotes a malformed value of thousands of characters
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 300
+
+    def test_a_bounded_refusal_keeps_its_start_and_its_end(self, capsys):
+        _, _, err = run_cli(capsys, *LONG_REFUSALS["element-of-3000-coordinates"])
+        assert err.startswith("error: (Fraction(1, 1), ") and " ... " in err
+        assert err.endswith(" is not an element of FiniteMV([2])\n")
+
     def test_a_unicode_digit_in_a_term_exits_2(self, capsys):
         # "\u0661/\u0662" is 1/2 in Arabic-Indic digits; a numeral is ASCII digits
         code, out, err = run_cli(capsys, "eval", "--alg", '{"finite":[2]}', "--term", "\u0661/\u0662")
@@ -465,9 +512,17 @@ class TestErrorHandling:
             (["decompose", "--alg", '{"finite":2}'], "bad chain orders"),
             (["separable", "--alg", '{"product":{"kind":"chain","n":2}}'], "bad product"),
             (["gamma", "--alg", '{"simplicial":{"unit":3}}'], 'expected {"rank": r, "unit": [...]}'),
+            (["eval", "--alg", '{"finite":[2]}'], "missing required --term"),
+            (["rank", "--alg", '{"product":[{"kind":"chain","n":2},{"kind":"chain","n":3}]}', "--elem", '"1/2"'],
+             "(Fraction(1, 2),) has 1 coordinates, ambient has 2"),
+            (["pi0", "--space", '{"points":-1,"opens":[]}'], "negative point count"),
+            (["subterminal", "--alg", '{"rational":{"kind":"supernatural","primes":{"2":1e400}}}'],
+             "bad exponent inf for prime 2"),
+            (["subterminal", "--alg", '{"rational":{"kind":"supernatural","primes":{"4":"x"}}}'], "4 is not prime"),
         ],
         ids=["environment-not-an-object", "primes-not-an-object", "orders-not-a-list", "product-not-a-list",
-             "simplicial-shape"],
+             "simplicial-shape", "eval-without-a-term", "rank-coordinate-count", "negative-point-count",
+             "exponent-read-as-infinity", "bad-exponent-of-a-composite-key"],
     )
     def test_wire_shape_refusal_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from mvalg import (
+    AlgebraError,
     FiniteMV,
     Hom,
     INF,
@@ -188,6 +189,10 @@ class TestIsSeparable:
         for algebra in iter_finite_algebras(max_components=2, max_order=4):
             assert is_separable(algebra).separable == separability_witness(algebra).separable
 
+    def test_a_product_of_non_algebras_is_refused(self):
+        with pytest.raises(AlgebraError, match=r"^\['x'\] is not a representable algebra"):
+            is_separable(["x"])
+
 
 class TestRationalMembership:
     def test_examples(self):
@@ -197,6 +202,14 @@ class TestRationalMembership:
 
     def test_range_check(self):
         assert not RationalAlgebra.full().contains(Fraction(3, 2))
+
+    def test_chain_past_the_digit_budget_is_refused(self):
+        with pytest.raises(AlgebraError, match="^a chain order has more than 4300 digits"):
+            RationalAlgebra.chain(10**4300)
+
+    def test_an_infinite_algebra_has_no_element_list(self):
+        with pytest.raises(AlgebraError, match="^RationalAlgebra.* is infinite; cannot enumerate"):
+            RationalAlgebra.supernatural({2: INF}).elements()
 
     def test_supernatural_caps(self):
         r = RationalAlgebra.supernatural({2: 2, 5: 1})

@@ -58,6 +58,14 @@ def test_replay_names_the_first_request_that_differs():
     assert first_difference(tampered[::2]).startswith("request 1 differs in stdout: argv ")
 
 
+def test_replay_names_the_first_demo_that_differs(tmp_path):
+    replay = _replay_module()
+    assert len(replay.DEMOS) == 6 and replay.first_demo_difference(replay.DEMOS[:1]) is None
+    tampered = tmp_path / replay.DEMOS[0].name
+    tampered.write_text('print("tampered")\n')
+    assert replay.first_demo_difference([tampered]) == f"demo {tampered.name} differs in stdout"
+
+
 def _starts(path: str, version: str, env: dict) -> bool:
     probe = subprocess.run(
         [path, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"], capture_output=True, text=True, env=env,

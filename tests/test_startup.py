@@ -14,6 +14,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from types import FunctionType
 
 import pytest
 
@@ -268,3 +269,22 @@ def test_subalgebras_with_different_generators_are_equal_and_hash_equal():
 def test_record_class_must_declare_slots():
     with pytest.raises(TypeError):
         type("Loose", (Record,), {})
+
+
+def test_each_record_class_has_its_constructor_once_its_class_statement_ends():
+    class Fresh(Record):
+        __slots__ = ("a", "b")
+
+    assert isinstance(Fresh.__dict__["_init"], FunctionType) and Fresh.__dict__["__init__"] is Fresh._init
+    for cls in RECORD_CLASSES:  # Term and _BinaryTerm among them, though never built
+        assert isinstance(cls.__dict__["_init"], FunctionType), cls
+    assert Fresh(1, 2).b == 2 and Fresh._make(3, 4) == Fresh(3, 4)
+
+
+def test_record_class_with_more_fields_than_templates_is_refused_when_defined():
+    class Six(Record):
+        __slots__ = tuple("abcdef")
+
+    assert Six._make(*range(6)).f == 5
+    with pytest.raises(TypeError, match="has 7 fields"):
+        type("Seven", (Six,), {"__slots__": ("g",)})

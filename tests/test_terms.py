@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvalg import (
+    AlgebraError,
     FiniteMV,
     ParseError,
     RationalAlgebra,
@@ -263,6 +264,15 @@ class TestOrderRank:
     def test_membership_validated(self):
         with pytest.raises(Exception):
             order_rank(RationalAlgebra.chain(6), Fraction(1, 4))
+
+    def test_an_ambient_of_non_algebras_is_refused(self):
+        with pytest.raises(AlgebraError, match=r"^\['x'\] is not a representable ambient"):
+            order_rank(["x"], ("1/2",))
+
+    def test_an_element_with_the_wrong_coordinate_count_is_refused(self):
+        ambient = [RationalAlgebra.chain(2), RationalAlgebra.chain(3)]
+        with pytest.raises(AlgebraError, match=r"^Fraction\(1, 2\) has 1 coordinates, ambient has 2"):
+            order_rank(ambient, Fraction(1, 2))
 
     def test_homs_preserve_finite_order_rank(self):
         for target in [L6, FiniteMV([2, 6])]:

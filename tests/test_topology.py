@@ -44,6 +44,10 @@ def clopens(space: FinSpace) -> list[int]:
 
 
 class TestFinSpace:
+    def test_validation_rejects_a_negative_point_count(self):
+        with pytest.raises(TopologyError, match="^negative point count"):
+            FinSpace.from_sets(-1, [])
+
     def test_validation_rejects_missing_full_set(self):
         with pytest.raises(TopologyError):
             FinSpace.from_sets(2, [[], [0]])
@@ -150,11 +154,14 @@ class TestCatalogOrder:
         assert len(assignments) == [1, 1, 4, 29, 355, 6942][n]
 
     def test_six_points(self):
+        # past five points iter_topologies enumerates lazily, outside the memos
+        cached, memoized = topology._catalog.cache_info().currsize, dict(topology._pi0_memo)
         previous, count = (), 0
-        for a in iter_min_nbhd_assignments(6):
-            assert previous < a
+        for a, space in zip(iter_min_nbhd_assignments(6), iter_topologies(6), strict=True):
+            assert previous < a and space == FinSpace(6, a)
             previous, count = a, count + 1
         assert count == 209527
+        assert topology._catalog.cache_info().currsize == cached and topology._pi0_memo == memoized
 
     def test_assignments_are_lazy(self):
         # only the assignments of the first n - 1 points are held as a list
